@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 
 from .diagnostics import (AggregateReport, ComponentCensus, MetricSummary,
                           Moments, RunReport, TrajectorySample, aggregate,
-                          component_census, default_checkpoints, excess,
-                          longest_forest_path, predicted_stack_at_m1,
-                          reference_moments, residual_criticality)
+                          component_census, default_checkpoints,
+                          reference_moments)
 from .errors import ConfigError, InvariantViolation, StreamExhausted
 from .fast_engine import FastResult, TIndex, checkpoint_schedule, run_fast
 from .oracle import (SmallGraphEnumeration, equivalence_sweep,
@@ -19,8 +18,7 @@ from .randomness import (BitStream, FixedBits, Graph, Xoshiro256StarStar,
                          pair_index, read_graph_file, splitmix64,
                          write_graph_file)
 from .reference_engine import (DfsState, QueryLedger, ReferenceResult,
-                               first_giant_entry, ledger_at, run_reference,
-                               write_event_csv)
+                               ledger_at, run_reference, write_event_csv)
 
 __all__ = [
     "AggregateReport", "BitStream", "ComponentCensus", "ConfigError",
@@ -29,11 +27,9 @@ __all__ = [
     "RunReport", "SmallGraphEnumeration", "StreamExhausted", "TIndex",
     "TrajectorySample", "Xoshiro256StarStar", "aggregate",
     "checkpoint_schedule", "component_census", "default_checkpoints",
-    "equivalence_sweep", "exact_longest_path", "excess",
-    "first_giant_entry", "ledger_at", "ledger_recompute",
-    "longest_forest_path", "materialize_graph", "pair_count",
-    "pair_from_index", "pair_index", "predicted_stack_at_m1",
-    "random_equivalence_trials", "read_graph_file", "reference_moments",
-    "residual_criticality", "run_fast", "run_reference", "splitmix64",
-    "write_event_csv", "write_graph_file",
+    "equivalence_sweep", "exact_longest_path", "ledger_at",
+    "ledger_recompute", "materialize_graph", "pair_count",
+    "pair_from_index", "pair_index", "random_equivalence_trials",
+    "read_graph_file", "reference_moments", "run_fast", "run_reference",
+    "splitmix64", "write_event_csv", "write_graph_file",
 ]

@@ -17,10 +17,8 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError
 
 
 # ----------------------------------------------------------------------
@@ -63,11 +61,6 @@ def reference_moments(n, epsilon):
     return Moments(n=n, epsilon=epsilon, m1=m1, m2=m2)
 
 
-def predicted_stack_at_m1(n, epsilon, q_ut):
-    """First-order stack-height prediction at m1: eps^2 n / 2 + q_UT / n."""
-    return epsilon * epsilon * n / 2.0 + q_ut / n
-
-
 def default_checkpoints(n, epsilon=None):
     """Minimal checkpoint set: moment 0, plus m1 and m2 when they exist."""
     if epsilon is None:
@@ -80,145 +73,48 @@ def default_checkpoints(n, epsilon=None):
 
 
 # ----------------------------------------------------------------------
-# component structure
+# component structure and forest diameter
 # ----------------------------------------------------------------------
 
 @dataclass
 class ComponentCensus:
-    sizes: list            # component sizes, descending
     giant_size: int
     second_size: int
-    giant: np.ndarray      # vertex ids of the selected largest component
-    tie: bool              # more than one component of maximum size
-    labels: np.ndarray     # component id per vertex
+    giant_root: int        # smallest label of the selected largest component
     n_components: int
 
 
-def component_census(graph):
-    """Connected components with the largest ("giant") component singled out.
+def component_census(parents, push_order):
+    """Connected components read off a complete DFS forest.
 
-    Ties on the maximum size are broken by the smallest minimum vertex label
-    and flagged. Backed by scipy's connected components; sizes are returned
-    descending.
+    Each DFS tree spans exactly one component, and its root is the
+    component's smallest label: every smaller label is already completed
+    when the root is pushed. Trees are contiguous runs of `push_order`, each
+    starting at a root (parents[v] < 0), so the sizes are the gaps between
+    consecutive root positions. Roots are pushed in increasing label order,
+    hence the first largest tree is the largest component with the smallest
+    minimum label.
     """
-    n = graph.n
-    if n == 0:
-        return ComponentCensus([], 0, 0, np.empty(0, dtype=np.int64), False,
-                               np.empty(0, dtype=np.int32), 0)
-    mat = coo_matrix((np.ones(graph.m, dtype=np.int8),
-                      (graph.edge_u, graph.edge_v)), shape=(n, n))
-    ncomp, labels = connected_components(mat, directed=False)
-    sizes_by_label = np.bincount(labels, minlength=ncomp)
-    giant_size = int(sizes_by_label.max())
-    candidates = np.nonzero(sizes_by_label == giant_size)[0]
-    if len(candidates) == 1:
-        chosen = candidates[0]
-        tie = False
-    else:
-        # First occurrence of a label in vertex order is that component's
-        # minimum vertex.
-        first_seen = np.full(ncomp, n, dtype=np.int64)
-        np.minimum.at(first_seen, labels, np.arange(n, dtype=np.int64))
-        chosen = candidates[np.argmin(first_seen[candidates])]
-        tie = True
-    giant = np.nonzero(labels == chosen)[0]
-    sizes = np.sort(sizes_by_label)[::-1].tolist()
-    second = int(sizes[1]) if len(sizes) > 1 else 0
-    return ComponentCensus(sizes=sizes, giant_size=giant_size,
-                           second_size=second, giant=giant, tie=tie,
-                           labels=labels, n_components=int(ncomp))
-
-
-def excess(graph, census=None):
-    """Total excess |E| - |V| + #components (0 for forests)."""
-    if census is None:
-        census = component_census(graph)
-    return graph.m - graph.n + census.n_components
-
-
-def residual_criticality(t_size, p, epsilon):
-    """Classify the residual undiscovered graph by the product |T| * p.
-
-    Supercritical when t_size * p >= 1 + eps^3, Subcritical when
-    t_size * p <= 1 - eps^4, NearCritical between. Returns (label, margin)
-    with margin = t_size * p - 1.
-    """
-    product = t_size * p
-    margin = product - 1.0
-    e3 = epsilon ** 3
-    e4 = epsilon ** 4
-    if product >= 1.0 + e3:
-        label = "Supercritical"
-    elif product <= 1.0 - e4:
-        label = "Subcritical"
-    else:
-        label = "NearCritical"
-    return label, margin
-
-
-# ----------------------------------------------------------------------
-# forest diameter
-# ----------------------------------------------------------------------
-
-def longest_forest_path(n, edges):
-    """Longest path (in edges) in a forest given as undirected edges.
-
-    Max over trees of the tree diameter via post-order DP keeping the two
-    deepest child paths per node; O(n + |edges|), iterative. A cycle (or a
-    duplicated edge) makes the input not a forest and raises.
-    """
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = [-1] * n
-    visited = bytearray(n)
-    best = 0
-    order = []
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = 1
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            skipped_parent = False
-            for w in adj[v]:
-                if w == parent[v] and not skipped_parent:
-                    skipped_parent = True
-                    continue
-                if visited[w]:
-                    raise InvariantViolation(
-                        "cycle detected: input is not a forest",
-                        {"n": n, "at_edge": (v, w)})
-                visited[w] = 1
-                parent[w] = v
-                stack.append(w)
-    down1 = [0] * n
-    down2 = [0] * n
-    for v in reversed(order):
-        through = down1[v] + down2[v]
-        if through > best:
-            best = through
-        p = parent[v]
-        if p >= 0:
-            d = down1[v] + 1
-            if d > down1[p]:
-                down2[p] = down1[p]
-                down1[p] = d
-            elif d > down2[p]:
-                down2[p] = d
-    return best
+    n = len(parents)
+    order = np.fromiter(push_order, dtype=np.int64, count=n)
+    parent = np.fromiter(parents, dtype=np.int64, count=n)
+    starts = np.flatnonzero(parent[order] < 0)
+    sizes = np.diff(starts, append=n)
+    g = int(np.argmax(sizes))
+    giant_size = int(sizes[g])
+    sizes[g] = 0
+    return ComponentCensus(giant_size=giant_size,
+                           second_size=int(sizes.max()),
+                           giant_root=int(order[starts[g]]),
+                           n_components=int(starts.size))
 
 
 def forest_diameter_from_parents(parents, order):
-    """Same DP as longest_forest_path, but straight off a parent array.
+    """Longest path (in edges) in a forest given as a parent array.
 
-    `order` must list vertices parents-before-children (a push order). Used
-    by the engines, which already hold both; skips the adjacency build.
+    Max over trees of the tree diameter, by a DP that keeps the two deepest
+    child paths per vertex; O(n). `order` must list vertices
+    parents-before-children, as a push order does.
     """
     n = len(parents)
     down1 = [0] * n
@@ -370,12 +266,12 @@ def aggregate(reports):
 
 def assemble_run_report(*, config, n, epsilon, p, samples, max_U,
                         max_U_argmax_m, dfs_query_total, parents, push_order,
-                        push_m, graph=None, census=None):
+                        push_m, graph=None):
     """Build a RunReport from raw engine outputs.
 
     Shared by both engines so report semantics cannot drift between them.
     Fields whose inputs are unavailable (no epsilon, checkpoint not reached,
-    no graph to hand) come out None.
+    no graph to count edges for excess_total) come out None.
     """
     by_m = {s.m: s for s in samples}
     u_at_m1 = q_ut_at_m1 = None
@@ -396,23 +292,17 @@ def assemble_run_report(*, config, n, epsilon, p, samples, max_U,
             if s2 is not None and p is not None:
                 t_p_at_m2 = s2.size_T * p
     lfp = forest_diameter_from_parents(parents, push_order)
-    excess_total = giant_size = second_size = None
-    first_giant = None
+    census = component_census(parents, push_order)
+    excess_total = None
     if graph is not None:
-        if census is None:
-            census = component_census(graph)
         excess_total = graph.m - n + census.n_components
-        giant_size = census.giant_size
-        second_size = census.second_size
-        if census.giant.size and push_m is not None:
-            pm = np.asarray(push_m, dtype=np.int64)
-            first_giant = int(pm[census.giant].min())
     return RunReport(
         config=config, u_at_m1=u_at_m1, q_UT_at_m1=q_ut_at_m1, max_U=max_U,
         max_U_argmax_m=max_U_argmax_m, longest_forest_path=lfp,
-        excess_total=excess_total, giant_size=giant_size,
-        second_size=second_size, T_p_at_m1=t_p_at_m1, T_p_at_m2=t_p_at_m2,
-        first_giant_entry_m=first_giant, dfs_query_total=dfs_query_total)
+        excess_total=excess_total, giant_size=census.giant_size,
+        second_size=census.second_size, T_p_at_m1=t_p_at_m1,
+        T_p_at_m2=t_p_at_m2, first_giant_entry_m=push_m[census.giant_root],
+        dfs_query_total=dfs_query_total)
 
 
 # ----------------------------------------------------------------------

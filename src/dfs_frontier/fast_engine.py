@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import (TrajectorySample, assemble_run_report,
-                          component_census, default_checkpoints,
-                          reference_moments)
+                          default_checkpoints, reference_moments)
 from .errors import ConfigError, InvariantViolation
 from .randomness import pair_count
 
@@ -41,26 +40,19 @@ MAX_CHECKPOINTS = 2_000_000
 class TIndex:
     """Fenwick tree over vertex labels 0..n-1, all initially present.
 
-    count_leq / delete / select are O(log n); the tree list is 1-based and
-    the all-ones initialization writes each node's span size directly.
+    count_leq and delete are O(log n); the tree list is 1-based and the
+    all-ones initialization writes each node's span size directly.
     """
 
     def __init__(self, n):
         if n < 0:
             raise ConfigError(f"TIndex size must be >= 0, got {n}")
         self.n = n
-        self.count = n
         tree = [0] * (n + 1)
         for i in range(1, n + 1):
             tree[i] = i & -i
         self.tree = tree
         self.present = bytearray(b"\x01" * n)
-
-    def __len__(self):
-        return self.count
-
-    def __contains__(self, label):
-        return 0 <= label < self.n and bool(self.present[label])
 
     def count_leq(self, label):
         """Number of present labels <= label (label -1 is allowed: 0)."""
@@ -79,30 +71,12 @@ class TIndex:
             raise InvariantViolation("delete of absent label",
                                      {"label": label})
         self.present[label] = 0
-        self.count -= 1
         i = label + 1
         n = self.n
         tree = self.tree
         while i <= n:
             tree[i] -= 1
             i += i & -i
-
-    def select(self, k):
-        """Label of the k-th smallest present element, k >= 1."""
-        if not 1 <= k <= self.count:
-            raise IndexError(f"select({k}) with {self.count} present")
-        idx = 0
-        bit = 1 << max(self.n.bit_length() - 1, 0)
-        rem = k
-        tree = self.tree
-        n = self.n
-        while bit:
-            nxt = idx + bit
-            if nxt <= n and tree[nxt] < rem:
-                idx = nxt
-                rem -= tree[nxt]
-            bit >>= 1
-        return idx
 
 
 def checkpoint_schedule(n, epsilon=None, stride=None):
@@ -156,8 +130,6 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
     if cps and cps[0] < 0:
         raise ConfigError("checkpoints must be >= 0")
 
-    census = component_census(graph)
-
     tindex = TIndex(n)
     tree = tindex.tree
     present = tindex.present
@@ -190,7 +162,6 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
                 min_ptr += 1
             r = min_ptr
             present[r] = 0
-            tindex.count -= 1
             i = r + 1
             while i <= tn:
                 tree[i] -= 1
@@ -262,7 +233,6 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
             frontier[u] = w
             cursor[u] = cur + 1
             present[w] = 0
-            tindex.count -= 1
             i = w + 1
             while i <= tn:
                 tree[i] -= 1
@@ -292,8 +262,7 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
     report = assemble_run_report(
         config=config, n=n, epsilon=epsilon, p=p, samples=samples,
         max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
-        parents=parents, push_order=push_order, push_m=push_m, graph=graph,
-        census=census)
+        parents=parents, push_order=push_order, push_m=push_m, graph=graph)
     return FastResult(report=report, samples=samples, parents=parents,
                       push_order=push_order, push_m=push_m,
                       unqueried_pairs=pair_count(n) - m)

@@ -16,14 +16,10 @@ CSVs, a diff) for offline inspection.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from collections import defaultdict
 from dataclasses import dataclass
 
-from .diagnostics import (METRIC_FIELDS, atomic_write_text, component_census,
-                          write_trajectory_csv)
+from .diagnostics import METRIC_FIELDS, atomic_write_text, write_trajectory_csv
 from .errors import ConfigError
 from .fast_engine import checkpoint_schedule, run_fast
 from .randomness import Graph, materialize_graph, write_graph_file
@@ -69,7 +65,7 @@ class SmallGraphEnumeration:
 # exact longest path
 # ----------------------------------------------------------------------
 
-def exact_longest_path(graph, *, allow_large=False, cache_dir=None):
+def exact_longest_path(graph, *, allow_large=False):
     """Length in edges of the longest simple path, computed exactly.
 
     Per connected component, a subset DP over {vertex set -> attainable path
@@ -77,22 +73,21 @@ def exact_longest_path(graph, *, allow_large=False, cache_dir=None):
     size c. Components larger than MAX_EXACT_COMPONENT vertices are refused
     unless allow_large=True (the DP then runs anyway, at exponential cost).
 
-    cache_dir, if given, memoizes results keyed by a hash of the canonical
-    edge list.
+    Components come from a breadth-first search over the graph itself, never
+    from an engine's DFS forest: this solver is what checks the engines.
     """
-    key = path = None
-    if cache_dir is not None:
-        key = _graph_key(graph)
-        path = os.path.join(cache_dir, key + ".json")
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as f:
-                return json.load(f)["longest_path"]
-    census = component_census(graph)
-    comps = defaultdict(list)
-    for v, lab in enumerate(census.labels.tolist()):
-        comps[lab].append(v)
+    seen = bytearray(graph.n)
     best = 0
-    for verts in comps.values():
+    for s in range(graph.n):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        verts = [s]
+        for v in verts:
+            for w in graph.neighbors(v).tolist():
+                if not seen[w]:
+                    seen[w] = 1
+                    verts.append(w)
         c = len(verts)
         if c == 1:
             continue
@@ -103,10 +98,6 @@ def exact_longest_path(graph, *, allow_large=False, cache_dir=None):
         got = _component_longest_path(graph, verts)
         if got > best:
             best = got
-    if path is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        atomic_write_text(path, json.dumps(
-            {"n": graph.n, "m": graph.m, "longest_path": best}) + "\n")
     return best
 
 
@@ -144,13 +135,6 @@ def _component_longest_path(graph, verts):
             return length
         length += 1
         cur = nxt
-
-
-def _graph_key(graph):
-    text = f"{graph.n}|" + ";".join(
-        f"{u},{v}" for u, v in zip(graph.edge_u.tolist(),
-                                   graph.edge_v.tolist()))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------

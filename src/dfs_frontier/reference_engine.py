@@ -105,15 +105,6 @@ def ledger_at(state, pairs):
     return QueryLedger(q_st, q_su, q_ut)
 
 
-def first_giant_entry(event_log, giant):
-    """Smallest clock at which a vertex of `giant` is pushed to U, or None."""
-    members = set(int(v) for v in giant)
-    for ev in event_log:
-        if ev[0] == "push" and ev[2] in members:
-            return ev[1]
-    return None
-
-
 def write_event_csv(event_log, path):
     """Columns (m, event_kind, vertex_or_pair, answer); pairs as "u:v"."""
     lines = ["m,event_kind,vertex_or_pair,answer"]

@@ -2,16 +2,17 @@
 
 Campaign-scale statistical checks (criteria 1-7) over a shared 60-run
 campaign, then the ledger-exactness, engine-equivalence, and oracle-dominance
-sweeps (criteria 8-10). Each criterion prints one PASS/FAIL line; run with
-pytest -s to see them on a green suite.
+sweeps (criteria 8-10). Criteria 1-7 assert on the rows of
+cli.evaluate_criteria, the acceptance table `dfs-frontier verify` prints, so
+the thresholds live in one place. Each criterion prints one PASS/FAIL line;
+run with pytest -s to see them on a green suite.
 """
 
-import math
 import os
 
 import pytest
 
-from dfs_frontier.cli import RunConfig, execute_run
+from dfs_frontier.cli import RunConfig, evaluate_criteria, execute_run
 from dfs_frontier.fast_engine import checkpoint_schedule, run_fast
 from dfs_frontier.oracle import (equivalence_sweep, exact_longest_path,
                                  random_equivalence_trials)
@@ -29,130 +30,68 @@ def verdict(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def mean(values):
-    return math.fsum(values) / len(values)
-
-
 @pytest.fixture(scope="module")
-def campaign():
-    out = {}
+def campaign_rows():
+    reports = []
     for eps, n in CELLS:
-        reports = []
         for i in range(SEEDS_PER_CELL):
             cfg = RunConfig(n=n, epsilon=eps, p=None, seed=BASE_SEED + i)
             report, _samples = execute_run(cfg)
             reports.append(report)
-        out[(eps, n)] = reports
-    return out
+    return evaluate_criteria(reports)
 
 
-def test_criterion_1_stack_size_at_m1(campaign):
-    devs = {}
-    parts = []
+def criterion_verdict(name, rows, per_cell=(), overall=()):
+    """One line over the table rows: every row of `per_cell` must be there
+    for every campaign cell, each row of `overall` once, and all PASS."""
+    wanted = [(c, len(CELLS)) for c in per_cell] + [(c, 1) for c in overall]
+    picked = []
     ok = True
-    for (eps, n), reports in campaign.items():
-        m = mean([r.u_at_m1 for r in reports])
-        dev = abs(m / (eps * eps * n) - 1.0)
-        devs[eps] = dev
-        ok = ok and dev <= 5 * eps
-        parts.append(f"eps={eps}: mean={m:.1f} dev={dev:.4f} "
-                     f"(bound {5 * eps})")
-    trend = devs[0.05] < devs[0.2]
-    ok = ok and trend
-    parts.append(f"trend {devs[0.05]:.4f} < {devs[0.2]:.4f}: {trend}")
-    verdict("criterion 1 (stack size at m1)", ok, "; ".join(parts))
+    for criterion, count in wanted:
+        got = [r for r in rows if r.criterion == criterion]
+        ok = ok and len(got) == count
+        picked.extend(got)
+    ok = ok and all(r.status == "PASS" for r in picked)
+    verdict(name, ok, "; ".join(
+        f"{r.status} {r.criterion} [{r.cell}] {r.detail}" for r in picked))
 
 
-def test_criterion_2_max_stack_and_forest_path(campaign):
-    parts = []
-    ok = True
-    for (eps, n), reports in campaign.items():
-        m = mean([r.max_U for r in reports])
-        dev = abs(m / (eps * eps * n) - 1.0)
-        slack = [r.longest_forest_path - (r.max_U - 1) for r in reports]
-        ok = ok and dev <= 5 * eps and min(slack) >= 0
-        parts.append(f"eps={eps}: mean max_U={m:.1f} dev={dev:.4f}, "
-                     f"path slack [{min(slack)}, {max(slack)}]")
-    verdict("criterion 2 (max stack, forest path)", ok, "; ".join(parts))
+def test_criterion_1_stack_size_at_m1(campaign_rows):
+    criterion_verdict("criterion 1 (stack size at m1)", campaign_rows,
+                      per_cell=("stack_at_m1",), overall=("stack_trend",))
 
 
-def test_criterion_3_ledger_bracket(campaign):
-    parts = []
-    ok = True
-    for (eps, n), reports in campaign.items():
-        inside = sum(
-            (r.u_at_m1 / 2 - 8 * eps ** 3 * n <= r.q_UT_at_m1 / n
-             <= (1 + eps) * r.u_at_m1 / 2) for r in reports)
-        ok = ok and inside >= 19
-        parts.append(f"eps={eps}: {inside}/{len(reports)} inside")
-    verdict("criterion 3 (u-t ledger bracket)", ok, "; ".join(parts))
+def test_criterion_2_max_stack_and_forest_path(campaign_rows):
+    criterion_verdict("criterion 2 (max stack, forest path)", campaign_rows,
+                      per_cell=("max_stack", "forest_path_vs_stack"))
 
 
-def test_criterion_4_stack_identity(campaign):
-    parts = []
-    ok = True
-    for (eps, n), reports in campaign.items():
-        worst = max(abs(r.u_at_m1 - (eps * eps * n / 2 + r.q_UT_at_m1 / n))
-                    for r in reports)
-        bound = 10 * eps ** 3 * n
-        ok = ok and worst <= bound
-        parts.append(f"eps={eps}: worst residual {worst:.1f} "
-                     f"(bound {bound:.0f})")
-    verdict("criterion 4 (stack identity)", ok, "; ".join(parts))
+def test_criterion_3_ledger_bracket(campaign_rows):
+    criterion_verdict("criterion 3 (u-t ledger bracket)", campaign_rows,
+                      per_cell=("ledger_bracket",))
 
 
-def test_criterion_5_excess_bound(campaign):
-    parts = []
-    ok = True
-    for (eps, n), reports in campaign.items():
-        if not (n == 1_000_000 and eps in (0.1, 0.2)):
-            continue
-        bound = 6 * eps ** 3 * n
-        good = sum(r.excess_total <= bound for r in reports)
-        worst = max(r.excess_total for r in reports)
-        ok = ok and good == len(reports)
-        parts.append(f"eps={eps}: {good}/{len(reports)} under "
-                     f"{bound:.0f}, max {worst}")
-    verdict("criterion 5 (excess bound)", ok, "; ".join(parts))
+def test_criterion_4_stack_identity(campaign_rows):
+    criterion_verdict("criterion 4 (stack identity)", campaign_rows,
+                      per_cell=("stack_identity",))
 
 
-def test_criterion_6_criticality_thresholds(campaign):
-    parts = []
-    ok = True
-    for (eps, n), reports in campaign.items():
-        fluct = math.sqrt(math.log(n) / n)
-        lo = 1 + eps ** 3 - 5 * fluct
-        hi = 1 - eps ** 4 + 4 * fluct
-        good = sum(r.T_p_at_m1 >= lo and r.T_p_at_m2 <= hi for r in reports)
-        ok = ok and good == len(reports)
-        parts.append(
-            f"eps={eps}: {good}/{len(reports)}, "
-            f"min T_p(m1)={min(r.T_p_at_m1 for r in reports):.6f} vs "
-            f"{lo:.6f}, max T_p(m2)="
-            f"{max(r.T_p_at_m2 for r in reports):.6f} vs {hi:.6f}")
-    verdict("criterion 6 (criticality thresholds)", ok, "; ".join(parts))
+def test_criterion_5_excess_bound(campaign_rows):
+    criterion_verdict("criterion 5 (excess bound)", campaign_rows,
+                      per_cell=("excess_bound",))
 
 
-def test_criterion_7_giant_onset(campaign):
-    # The headline n ln^2 n budget affords only ~eps^2 ln n root retries at
-    # this scale, so a correct run exceeds it whenever an unusually large
-    # non-giant component (they reach Theta(ln n / eps^2) vertices) precedes
-    # the giant in label order - measured at ~10% of seeds. The asserted
-    # guard is the eps-refined budget n ln^2 n / eps, whose tail mass is
-    # negligible; the headline count is still reported.
-    eps, n = 0.1, 1_000_000
-    reports = campaign[(eps, n)]
-    headline = n * math.log(n) ** 2
-    bound = headline / eps
-    firsts = [r.first_giant_entry_m for r in reports]
-    good = sum(f is not None and f <= bound for f in firsts)
-    under_headline = sum(f is not None and f <= headline for f in firsts)
-    ok = good == len(reports)
-    verdict("criterion 7 (giant onset)", ok,
-            f"{good}/{len(reports)} under n ln^2 n / eps = {bound:.3e} "
-            f"({under_headline}/{len(reports)} under the headline "
-            f"n ln^2 n = {headline:.3e}; a ~10% per-seed tail there is "
-            f"expected at this scale), max first entry {max(firsts)}")
+def test_criterion_6_criticality_thresholds(campaign_rows):
+    criterion_verdict("criterion 6 (criticality thresholds)", campaign_rows,
+                      per_cell=("criticality_m1", "criticality_m2"))
+
+
+def test_criterion_7_giant_onset(campaign_rows):
+    # The row asserts the eps-refined budget n ln^2 n / eps and reports how
+    # many seeds stay under the headline n ln^2 n, which about one seed in
+    # ten exceeds at this scale (see the README's calibration note).
+    criterion_verdict("criterion 7 (giant onset)", campaign_rows,
+                      per_cell=("giant_onset",))
 
 
 def test_criterion_8_ledger_exactness():

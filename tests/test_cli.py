@@ -1,8 +1,11 @@
 """CLI tests: config validation, exit codes, artifact layout, determinism,
-and the verify table. Everything drives cli.main(argv) in-process."""
+and the verify table. Everything but the import check drives
+cli.main(argv) in-process."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -335,3 +338,14 @@ class TestExecuteRun:
                                   "--epsilon", "0.1", "--seeds", "2",
                                   "--out", "x"])
         assert args.n == [100, 200] and args.epsilon == [0.1]
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency: a fresh interpreter that imports the
+    # console-script module must not pull it in.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, dfs_frontier.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

@@ -1,25 +1,48 @@
-"""Diagnostics tests: exact reference moments, census and excess, residual
-criticality, forest paths, and report plumbing."""
+"""Diagnostics tests: exact reference moments, the forest census and
+excess, residual criticality, forest paths, and report plumbing."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from census_oracle import report_census, scipy_census
+from dfs_frontier.cli import evaluate_criteria
 from dfs_frontier.diagnostics import (METRIC_FIELDS, RunReport,
                                       TrajectorySample, aggregate,
                                       component_census, default_checkpoints,
-                                      excess, forest_diameter_from_parents,
-                                      longest_forest_path,
-                                      predicted_stack_at_m1,
+                                      forest_diameter_from_parents,
                                       reference_moments,
-                                      residual_criticality,
                                       write_aggregate_csv,
                                       write_seed_table_csv,
                                       write_trajectory_csv)
-from dfs_frontier.errors import ConfigError, InvariantViolation
+from dfs_frontier.errors import ConfigError
+from dfs_frontier.fast_engine import run_fast
 from dfs_frontier.randomness import Graph, materialize_graph
+
+
+def census_of(graph):
+    res = run_fast(graph, [0])
+    return component_census(res.parents, res.push_order)
+
+
+def make_report(seed=1, **overrides):
+    fields = dict(
+        config={"n": 100, "epsilon": 0.1, "p": 0.011, "seed": seed,
+                "engine": "fast"},
+        u_at_m1=10, q_UT_at_m1=500, max_U=12, max_U_argmax_m=40,
+        longest_forest_path=11, excess_total=0, giant_size=20,
+        second_size=5, T_p_at_m1=1.001, T_p_at_m2=0.999,
+        first_giant_entry_m=3, dfs_query_total=4000)
+    fields.update(overrides)
+    return RunReport(**fields)
+
+
+def rows_named(reports, criterion):
+    return [r for r in evaluate_criteria(reports) if r.criterion == criterion]
 
 
 class TestReferenceMoments:
@@ -68,8 +91,16 @@ class TestReferenceMoments:
             reference_moments(100, 1.0)
 
     def test_predicted_stack(self):
-        # eps^2 n / 2 + q/n with easy numbers: 0.01*1000/2 + 50000/1000.
-        assert predicted_stack_at_m1(1000, 0.1, 50000) == 55.0
+        # The stack_identity row compares u_at_m1 with the prediction
+        # eps^2 n / 2 + q_UT / n; easy numbers: 0.01*1000/2 + 50000/1000.
+        cfg = {"n": 1000, "epsilon": 0.1, "p": 0.0011, "seed": 1}
+        exact = rows_named([make_report(config=cfg, u_at_m1=55,
+                                        q_UT_at_m1=50000)],
+                           "stack_identity")
+        assert exact[0].margin == pytest.approx(10 * 0.1 ** 3 * 1000)
+        off = rows_named([make_report(config=cfg, u_at_m1=57,
+                                      q_UT_at_m1=50000)], "stack_identity")
+        assert off[0].margin == pytest.approx(10 * 0.1 ** 3 * 1000 - 2)
 
     def test_default_checkpoints(self):
         assert default_checkpoints(1000, 0.1) == [0, 81818, 82727]
@@ -79,33 +110,32 @@ class TestReferenceMoments:
 
 class TestComponentCensus:
     def test_isolated_vertices(self):
-        census = component_census(Graph.from_edges(5, []))
-        assert census.sizes == [1, 1, 1, 1, 1]
+        census = census_of(Graph.from_edges(5, []))
         assert census.giant_size == 1
         assert census.second_size == 1
         assert census.n_components == 5
-        assert census.tie
+        assert census.giant_root == 0   # five-way tie
 
     def test_triangle_plus_edge(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-        census = component_census(g)
-        assert census.sizes == [3, 2]
+        census = census_of(g)
         assert census.giant_size == 3
         assert census.second_size == 2
-        assert sorted(census.giant.tolist()) == [0, 1, 2]
-        assert not census.tie
+        assert census.n_components == 2
+        assert census.giant_root == 0
 
     def test_tie_breaks_to_smallest_label(self):
         g = Graph.from_edges(4, [(1, 3), (0, 2)])
-        census = component_census(g)
-        assert census.tie
-        assert sorted(census.giant.tolist()) == [0, 2]
+        assert census_of(g).giant_root == 0
+        g = Graph.from_edges(5, [(0, 1), (2, 4), (3, 4)])
+        assert census_of(g).giant_root == 2   # size 3 beats size 2
 
     def test_single_component(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        census = component_census(g)
-        assert census.sizes == [4]
+        census = census_of(g)
+        assert census.giant_size == 4
         assert census.second_size == 0
+        assert census.n_components == 1
 
     def test_giant_size_band_supercritical(self):
         # Branching-process fixed point rho = 1 - exp(-(1+eps) rho) gives
@@ -113,55 +143,74 @@ class TestComponentCensus:
         # is wide enough for n = 2e5 fluctuations.
         n, eps = 200_000, 0.1
         g = materialize_graph(n, (1 + eps) / n, 424242)
-        census = component_census(g)
-        ratio = census.giant_size / (2 * eps * n)
+        res = run_fast(g, [0])
+        ratio = res.report.giant_size / (2 * eps * n)
         assert 0.8 <= ratio <= 1.1, ratio
-        assert census.second_size < 1000
+        assert res.report.second_size < 1000
+        want, _giant = scipy_census(g, res.push_m)
+        assert report_census(res.report) == want
 
 
 class TestExcess:
+    # excess_total = |E| - |V| + #components of the full graph.
+    def excess(self, graph):
+        return run_fast(graph, [0]).report.excess_total
+
     def test_forest_zero(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
-        assert excess(g) == 0
+        assert self.excess(g) == 0
 
     def test_triangle_one(self):
-        assert excess(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])) == 1
+        assert self.excess(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])) == 1
 
     def test_k4_three(self):
         g = Graph.from_edges(4, [(u, v) for u in range(4)
                                  for v in range(u + 1, 4)])
-        assert excess(g) == 3
+        assert self.excess(g) == 3
 
     def test_sums_over_components(self):
         g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2),   # triangle: +1
                                  (3, 4), (4, 5), (3, 5),   # triangle: +1
                                  ])
-        assert excess(g) == 2
+        assert self.excess(g) == 2
 
 
 class TestResidualCriticality:
+    # |T| p is judged by evaluate_criteria: at m1 it must reach
+    # 1 + eps^3 - 5 fluct (supercritical), at m2 stay at or under
+    # 1 - eps^4 + 4 fluct (subcritical), fluct = sqrt(ln n / n).
+    N, EPS = 10_000, 0.1
+
+    def bounds(self):
+        fluct = math.sqrt(math.log(self.N) / self.N)
+        return (1 + self.EPS ** 3 - 5 * fluct,
+                1 - self.EPS ** 4 + 4 * fluct)
+
+    def statuses(self, t_p_at_m1, t_p_at_m2):
+        cfg = {"n": self.N, "epsilon": self.EPS, "p": 1.1e-4, "seed": 1}
+        rep = make_report(config=cfg, T_p_at_m1=t_p_at_m1,
+                          T_p_at_m2=t_p_at_m2)
+        return (rows_named([rep], "criticality_m1")[0].status,
+                rows_named([rep], "criticality_m2")[0].status)
+
     def test_labels(self):
-        label, margin = residual_criticality(11_000, 1e-4, 0.1)
-        assert label == "Supercritical"
-        assert margin == pytest.approx(0.1)
-        label, _ = residual_criticality(9_900, 1e-4, 0.1)
-        assert label == "Subcritical"
-        label, _ = residual_criticality(10_005, 1e-4, 0.1)
-        assert label == "NearCritical"
+        lo, hi = self.bounds()
+        assert self.statuses(lo + 0.01, hi - 0.01) == ("PASS", "PASS")
+        assert self.statuses(lo - 0.01, hi - 0.01) == ("FAIL", "PASS")
+        assert self.statuses(lo + 0.01, hi + 0.01) == ("PASS", "FAIL")
 
     def test_threshold_edges(self):
         # Exactly at the bounds counts as the decisive side.
-        eps = 0.1
-        label, _ = residual_criticality((1 + eps**3) * 1e4, 1e-4, eps)
-        assert label == "Supercritical"
-        label, _ = residual_criticality((1 - eps**4) * 1e4, 1e-4, eps)
-        assert label == "Subcritical"
+        lo, hi = self.bounds()
+        assert self.statuses(lo, hi) == ("PASS", "PASS")
 
     def test_monotone_in_t_size(self):
-        labels = [residual_criticality(t, 1e-3, 0.2)[0]
-                  for t in (800, 999, 1001, 1300)]
-        assert labels == ["Subcritical", "NearCritical",
-                          "NearCritical", "Supercritical"]
+        lo, hi = self.bounds()
+        ladder = (lo - 0.2, lo - 1e-9, lo + 1e-9, lo + 0.2)
+        assert [self.statuses(t, hi)[0] for t in ladder] == [
+            "FAIL", "FAIL", "PASS", "PASS"]
+        assert [self.statuses(lo, t + hi - lo)[1] for t in ladder] == [
+            "PASS", "PASS", "FAIL", "FAIL"]
 
 
 def naive_tree_diameter(n, edges):
@@ -183,64 +232,53 @@ def naive_tree_diameter(n, edges):
     return best
 
 
+def diameter(parents):
+    # Labels are a valid parents-before-children order when every parent
+    # label is smaller than its child's.
+    return forest_diameter_from_parents(parents, range(len(parents)))
+
+
 class TestLongestForestPath:
     def test_star(self):
-        assert longest_forest_path(6, [(0, i) for i in range(1, 6)]) == 2
+        assert diameter([-1, 0, 0, 0, 0, 0]) == 2
 
     def test_path(self):
-        assert longest_forest_path(7, [(i, i + 1) for i in range(6)]) == 6
+        assert diameter([-1, 0, 1, 2, 3, 4, 5]) == 6
 
     def test_trivial(self):
-        assert longest_forest_path(1, []) == 0
-        assert longest_forest_path(4, []) == 0
+        assert diameter([-1]) == 0
+        assert diameter([-1, -1, -1, -1]) == 0
 
     def test_two_components(self):
-        edges = [(0, 1), (1, 2), (3, 4)]
-        assert longest_forest_path(5, edges) == 2
-
-    def test_cycle_rejected(self):
-        with pytest.raises(InvariantViolation):
-            longest_forest_path(3, [(0, 1), (1, 2), (0, 2)])
-
-    def test_duplicate_edge_rejected(self):
-        with pytest.raises(InvariantViolation):
-            longest_forest_path(2, [(0, 1), (0, 1)])
+        assert diameter([-1, 0, 1, -1, 3]) == 2
 
     def test_random_trees_match_naive(self):
-        import random
         rng = random.Random(2024)
         for trial in range(30):
             n = rng.randint(2, 40)
-            edges = [(rng.randint(0, v - 1), v) for v in range(1, n)]
-            got = longest_forest_path(n, edges)
-            assert got == naive_tree_diameter(n, edges), (n, edges)
+            parents = [-1] + [rng.randint(0, v - 1) for v in range(1, n)]
+            edges = [(parents[v], v) for v in range(1, n)]
+            assert diameter(parents) == naive_tree_diameter(n, edges), (
+                n, edges)
 
     def test_parent_array_variant_agrees(self):
-        import random
+        # Engine forests: parents need not precede children by label, only
+        # in push order. Random forests of random graphs against the naive
+        # eccentricity scan.
         rng = random.Random(7)
         for trial in range(20):
             n = rng.randint(1, 40)
-            parents = [-1] + [rng.randint(0, v - 1) for v in range(1, n)]
-            order = list(range(n))  # parents precede children by label
-            edges = [(parents[v], v) for v in range(n) if parents[v] >= 0]
-            assert (forest_diameter_from_parents(parents, order)
-                    == longest_forest_path(n, edges))
+            res = run_fast(materialize_graph(n, rng.uniform(0.5, 3) / n,
+                                             trial), [0])
+            edges = [(res.parents[v], v) for v in range(n)
+                     if res.parents[v] >= 0]
+            assert (forest_diameter_from_parents(res.parents, res.push_order)
+                    == naive_tree_diameter(n, edges))
 
 
 class TestReports:
-    def make_report(self, seed=1, **overrides):
-        fields = dict(
-            config={"n": 100, "epsilon": 0.1, "p": 0.011, "seed": seed,
-                    "engine": "fast"},
-            u_at_m1=10, q_UT_at_m1=500, max_U=12, max_U_argmax_m=40,
-            longest_forest_path=11, excess_total=0, giant_size=20,
-            second_size=5, T_p_at_m1=1.001, T_p_at_m2=0.999,
-            first_giant_entry_m=3, dfs_query_total=4000)
-        fields.update(overrides)
-        return RunReport(**fields)
-
     def test_json_round_trip(self):
-        rep = self.make_report()
+        rep = make_report()
         assert RunReport.from_json(rep.to_json()) == rep
 
     def test_missing_field_rejected(self):
@@ -248,19 +286,19 @@ class TestReports:
             RunReport.from_dict({"config": {}})
 
     def test_metric_fields_exist(self):
-        rep = self.make_report()
+        rep = make_report()
         for name in METRIC_FIELDS:
             assert hasattr(rep, name)
 
     def test_aggregate_single(self):
-        agg = aggregate([self.make_report()])
+        agg = aggregate([make_report()])
         s = agg.metrics["max_U"]
         assert s.count == 1
         assert s.mean == 12 and s.std == 0.0
         assert (s.ci_lo, s.ci_hi) == (12.0, 12.0)
 
     def test_aggregate_known_values(self):
-        reports = [self.make_report(seed=i, max_U=v)
+        reports = [make_report(seed=i, max_U=v)
                    for i, v in enumerate((1, 2, 3))]
         s = aggregate(reports).metrics["max_U"]
         # mean 2, sample std 1, CI half-width 1.96/sqrt(3).
@@ -270,28 +308,28 @@ class TestReports:
         assert (s.min, s.max) == (1.0, 3.0)
 
     def test_aggregate_order_insensitive(self):
-        a = [self.make_report(seed=i, max_U=v)
+        a = [make_report(seed=i, max_U=v)
              for i, v in enumerate((5, 9, 7, 11))]
         fwd = aggregate(a)
         rev = aggregate(list(reversed(a)))
         assert fwd.metrics == rev.metrics
 
     def test_aggregate_skips_none(self):
-        reports = [self.make_report(seed=0),
-                   self.make_report(seed=1, T_p_at_m1=None)]
+        reports = [make_report(seed=0),
+                   make_report(seed=1, T_p_at_m1=None)]
         agg = aggregate(reports)
         assert agg.metrics["T_p_at_m1"].count == 1
         assert agg.metrics["max_U"].count == 2
 
     def test_aggregate_rejects_mixed_cells(self):
-        a = self.make_report(seed=0)
-        b = self.make_report(seed=1)
+        a = make_report(seed=0)
+        b = make_report(seed=1)
         b.config = dict(b.config, n=200)
         with pytest.raises(ConfigError):
             aggregate([a, b])
 
     def test_csv_writers(self, tmp_path):
-        reports = [self.make_report(seed=i, max_U=10 + i) for i in range(3)]
+        reports = [make_report(seed=i, max_U=10 + i) for i in range(3)]
         seeds_path = tmp_path / "seeds.csv"
         write_seed_table_csv(reports, str(seeds_path))
         lines = seeds_path.read_text().strip().split("\n")

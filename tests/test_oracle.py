@@ -2,7 +2,6 @@
 engine sweep, fault injection, and event-log ledger replay."""
 
 import itertools
-import json
 import os
 import random
 
@@ -78,18 +77,6 @@ class TestExactLongestPath:
         with pytest.raises(ConfigError):
             exact_longest_path(g)
         assert exact_longest_path(g, allow_large=True) == n - 1
-
-    def test_cache_round_trip(self, tmp_path):
-        g = petersen()
-        cache = str(tmp_path)
-        assert exact_longest_path(g, cache_dir=cache) == 9
-        files = os.listdir(cache)
-        assert len(files) == 1 and files[0].endswith(".json")
-        # A poisoned cache entry is believed: proves the hit path is real.
-        payload = json.loads((tmp_path / files[0]).read_text())
-        payload["longest_path"] = 77
-        (tmp_path / files[0]).write_text(json.dumps(payload))
-        assert exact_longest_path(g, cache_dir=cache) == 77
 
 
 class TestSmallGraphEnumeration:

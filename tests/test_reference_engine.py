@@ -3,14 +3,14 @@ and graph oracles, realization, and input validation."""
 
 import pytest
 
+from census_oracle import report_census, scipy_census
 from dfs_frontier.diagnostics import TrajectorySample
 from dfs_frontier.errors import (ConfigError, InvariantViolation,
                                  StreamExhausted)
 from dfs_frontier.randomness import BitStream, FixedBits, Graph, pair_count
 from dfs_frontier.reference_engine import (DfsState, QueryLedger,
-                                           first_giant_entry, ledger_at,
-                                           run_reference, snapshot_state,
-                                           write_event_csv)
+                                           ledger_at, run_reference,
+                                           snapshot_state, write_event_csv)
 
 
 def sample(m, s, u, t, q_st, q_su, q_ut):
@@ -231,11 +231,13 @@ class TestValidation:
 
 class TestEventLogHelpers:
     def test_first_giant_entry(self):
+        # A stream run has no graph, yet its forest gives the census:
+        # component {0,1,3} is the giant here, entered at the root push;
+        # {2} is second. Counting edges for the excess needs the graph.
         res = run_reference(4, FixedBits([1, 0, 1, 0, 0]))
-        # Component {0,1,3} is the giant here; entered at the root push.
-        assert first_giant_entry(res.event_log, [0, 1, 3]) == 0
-        assert first_giant_entry(res.event_log, [2]) == 5
-        assert first_giant_entry(res.event_log, []) is None
+        assert res.report.first_giant_entry_m == 0
+        assert (res.report.giant_size, res.report.second_size) == (3, 1)
+        assert res.report.excess_total is None
 
     def test_event_csv(self, tmp_path):
         res = run_reference(4, FixedBits([1, 0, 1, 0, 0]))
@@ -248,12 +250,18 @@ class TestEventLogHelpers:
         assert len(lines) == 1 + len(res.event_log)
 
     def test_report_first_giant_matches_log_scan(self):
-        stream = BitStream(77, 2.0 / 50)
-        res = run_reference(50, stream, realize=True)
-        from dfs_frontier.diagnostics import component_census
-        census = component_census(res.realized_graph)
-        got = first_giant_entry(res.event_log, census.giant.tolist())
-        assert got == res.report.first_giant_entry_m
+        # The realized graph holds edges the DFS never asked about; scipy's
+        # components of it must still match the forest census, and the
+        # first push of a giant vertex in the event log must be the
+        # reported entry.
+        for seed in range(77, 87):
+            res = run_reference(50, BitStream(seed, 2.0 / 50), realize=True)
+            want, giant = scipy_census(res.realized_graph, res.push_m)
+            assert report_census(res.report) == want
+            members = set(giant.tolist())
+            first_push = next(ev[1] for ev in res.event_log
+                              if ev[0] == "push" and ev[2] in members)
+            assert first_push == res.report.first_giant_entry_m
 
 
 class TestDfsStateSnapshot:
