@@ -9,8 +9,7 @@ Commands:
 
 Every command is deterministic in (flags, base seed); re-running a sweep
 reproduces the directory byte for byte except sweep_meta.json, the one file
-that carries a timestamp. The environment variable DFS_FRONTIER_BASE_SEED,
-when set, overrides the seed flag of run, sweep, and equivalence.
+that carries a timestamp.
 
 Exit codes: 0 success/pass, 1 verify or equivalence failure, 2 usage or
 configuration error, 3 internal invariant violation.
@@ -24,18 +23,17 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import __version__
 from .diagnostics import (RunReport, aggregate, atomic_write_text,
-                          default_checkpoints, write_aggregate_csv,
-                          write_seed_table_csv, write_trajectory_csv)
+                          write_aggregate_csv, write_seed_table_csv,
+                          write_trajectory_csv)
 from .errors import ConfigError, InvariantViolation
 from .fast_engine import checkpoint_schedule, run_fast
 from .oracle import equivalence_sweep, random_equivalence_trials
 from .randomness import materialize_graph
-from .reference_engine import MAX_REFERENCE_N, run_reference
 
 MAX_SEED = (1 << 64) - 1
 EPSILON_DESIGN_BAND = 0.5
@@ -43,16 +41,24 @@ EPSILON_DESIGN_BAND = 0.5
 
 @dataclass
 class RunConfig:
-    """One run's validated configuration; p is derived from epsilon."""
+    """One run's configuration: exactly one of epsilon and p is given."""
     n: int
     epsilon: float | None
     p: float | None
     seed: int
-    engine: str = "fast"
     checkpoint_stride: int | None = None
-    debug_checks: bool = False
+
+    @property
+    def edge_probability(self):
+        """p as given, or p = (1 + epsilon) / n: the single place the
+        duality is computed; the report echoes it."""
+        if self.epsilon is None:
+            return self.p
+        return (1.0 + self.epsilon) / self.n
 
     def validate(self):
+        """Check the fields and return self. Changes nothing, so a config
+        validates, and runs, any number of times."""
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if (self.epsilon is None) == (self.p is None):
@@ -66,16 +72,9 @@ class RunConfig:
                       f"design band (0, {EPSILON_DESIGN_BAND}]; the "
                       "supercritical approximations degrade",
                       file=sys.stderr)
-            # Single source of truth for the duality; echoed via the report.
-            self.p = (1.0 + self.epsilon) / self.n
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"p must be in [0, 1], got {self.p!r}")
-        if self.engine not in ("fast", "reference"):
-            raise ConfigError(f"unknown engine {self.engine!r}")
-        if self.engine == "reference" and self.n > MAX_REFERENCE_N:
-            raise ConfigError(
-                f"reference engine is capped at n <= {MAX_REFERENCE_N}; "
-                f"got n={self.n} (use the fast engine)")
+        p = self.edge_probability
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"p must be in [0, 1], got {p!r}")
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must be a 64-bit integer, got {self.seed}")
         if self.checkpoint_stride is not None and self.checkpoint_stride < 1:
@@ -85,24 +84,17 @@ class RunConfig:
 
 
 def execute_run(config):
-    """Materialize the graph for `config` and run the chosen engine.
+    """Materialize the graph for `config` and run the fast engine.
 
-    Returns (RunReport, samples). Both engines consume the same materialized
-    graph, so their outputs are comparable run for run.
+    Returns (RunReport, samples). An epsilon whose reference moment m2 does
+    not fit in the pair space is a ConfigError, as is a stride that yields
+    too many checkpoints.
     """
     cfg = config.validate()
-    if cfg.checkpoint_stride is not None:
-        cps = checkpoint_schedule(cfg.n, cfg.epsilon, cfg.checkpoint_stride)
-    else:
-        cps = default_checkpoints(cfg.n, cfg.epsilon)
-    graph = materialize_graph(cfg.n, cfg.p, cfg.seed)
-    if cfg.engine == "fast":
-        res = run_fast(graph, cps, epsilon=cfg.epsilon, p=cfg.p,
-                       seed=cfg.seed, debug_checks=cfg.debug_checks)
-    else:
-        res = run_reference(cfg.n, graph, cps, epsilon=cfg.epsilon, p=cfg.p,
-                            seed=cfg.seed, record_events=False,
-                            debug_checks=cfg.debug_checks)
+    cps = checkpoint_schedule(cfg.n, cfg.epsilon, cfg.checkpoint_stride)
+    p = cfg.edge_probability
+    graph = materialize_graph(cfg.n, p, cfg.seed)
+    res = run_fast(graph, cps, epsilon=cfg.epsilon, p=p, seed=cfg.seed)
     return res.report, res.samples
 
 
@@ -117,9 +109,7 @@ def _run_report_task(config):
 
 def cmd_run(args):
     cfg = RunConfig(n=args.n, epsilon=args.epsilon, p=args.p,
-                    seed=_resolve_seed(args.seed), engine=args.engine,
-                    checkpoint_stride=args.checkpoint_stride,
-                    debug_checks=args.debug_checks)
+                    seed=args.seed, checkpoint_stride=args.checkpoint_stride)
     report, samples = execute_run(cfg)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -134,7 +124,6 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    base_seed = _resolve_seed(args.seed)
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if args.jobs < 1:
@@ -146,16 +135,18 @@ def cmd_sweep(args):
             f"sweep of {len(cells)} cells x {args.seeds} seeds = {total} "
             f"runs exceeds the budget of {args.budget}; raise --budget "
             "to confirm")
-    configs = []
+    # Every check that can fail runs before the first run starts.
+    configs = [RunConfig(n=n, epsilon=eps, p=None, seed=args.seed + i,
+                         checkpoint_stride=args.checkpoint_stride).validate()
+               for n, eps in cells for i in range(args.seeds)]
+    dirs = set()
     for n, eps in cells:
-        for i in range(args.seeds):
-            cfg = RunConfig(n=n, epsilon=eps, p=None, seed=base_seed + i,
-                            engine=args.engine,
-                            checkpoint_stride=args.checkpoint_stride)
-            # Check eagerly (before any run starts) on a copy: validate()
-            # derives p in place and execute_run validates again.
-            replace(cfg).validate()
-            configs.append(cfg)
+        checkpoint_schedule(n, eps, args.checkpoint_stride)
+        name = _cell_dir_name(n, eps)
+        if name in dirs:
+            raise ConfigError(f"two cells map to the directory {name}; "
+                              "give distinct (n, epsilon) cells")
+        dirs.add(name)
     os.makedirs(args.out, exist_ok=True)
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
@@ -168,7 +159,7 @@ def cmd_sweep(args):
         by_cell.setdefault(key, []).append(report)
     cell_dirs = []
     for (n, eps), group in sorted(by_cell.items()):
-        cell_dir = os.path.join(args.out, f"cell-n{n}-eps{eps:g}")
+        cell_dir = os.path.join(args.out, _cell_dir_name(n, eps))
         os.makedirs(cell_dir, exist_ok=True)
         for report in group:
             path = os.path.join(cell_dir,
@@ -185,8 +176,8 @@ def cmd_sweep(args):
     atomic_write_text(os.path.join(args.out, "plot.gnuplot"),
                       _gnuplot_script(cell_dirs))
     meta = {"created_unix": time.time(), "package_version": __version__,
-            "base_seed": base_seed, "seeds": args.seeds,
-            "engine": args.engine, "cells": [list(c) for c in cells],
+            "base_seed": args.seed, "seeds": args.seeds,
+            "cells": [list(c) for c in cells],
             "checkpoint_stride": args.checkpoint_stride}
     atomic_write_text(os.path.join(args.out, "sweep_meta.json"),
                       json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -237,7 +228,7 @@ def cmd_equivalence(args):
         sizes = (6, 16, 64, 256)
         res2 = random_equivalence_trials(
             args.random_trials * len(sizes), sizes=sizes,
-            seed=_resolve_seed(args.seed), out_dir=args.out)
+            seed=args.seed, out_dir=args.out)
         print(f"random trials: {res2.graphs_checked} graphs "
               f"({args.random_trials} per size in {list(sizes)}), "
               f"{len(res2.mismatches)} mismatches")
@@ -394,15 +385,8 @@ def evaluate_criteria(reports):
 # plumbing
 # ----------------------------------------------------------------------
 
-def _resolve_seed(cli_seed):
-    env = os.environ.get("DFS_FRONTIER_BASE_SEED")
-    if env is None:
-        return cli_seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(
-            f"DFS_FRONTIER_BASE_SEED must be an integer, got {env!r}")
+def _cell_dir_name(n, eps):
+    return f"cell-n{n}-eps{eps:g}"
 
 
 def _gnuplot_script(cell_dirs):
@@ -438,12 +422,9 @@ def build_parser():
     p_run.add_argument("--epsilon", type=float)
     p_run.add_argument("--p", type=float)
     p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--engine", choices=("fast", "reference"),
-                       default="fast")
     p_run.add_argument("--checkpoint-stride", type=int)
     p_run.add_argument("--out", help="directory for report.json and "
                                      "trajectory.csv (default: stdout)")
-    p_run.add_argument("--debug-checks", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="seeded sweep over cells")
@@ -454,8 +435,6 @@ def build_parser():
     p_sweep.add_argument("--seeds", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=1,
                          help="base seed; run i uses base + i")
-    p_sweep.add_argument("--engine", choices=("fast", "reference"),
-                         default="fast")
     p_sweep.add_argument("--checkpoint-stride", type=int)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--jobs", type=int, default=1)

@@ -114,12 +114,12 @@ class FastResult:
     unqueried_pairs: int      # C(n,2) - dfs_query_total
 
 
-def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
-             debug_checks=False):
+def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
     """Run the exploration protocol on a materialized graph.
 
     Deterministic given the graph. Returns a FastResult whose report and
-    samples match run_reference on the same graph moment for moment.
+    samples match run_reference on the same graph moment for moment. An
+    adjacency row out of ascending order raises InvariantViolation.
     """
     n = graph.n
     if n < 1:
@@ -198,7 +198,7 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
                 base += tree[i]
                 i -= i & -i
         if w >= 0:
-            if debug_checks and w <= f:
+            if w <= f:
                 raise InvariantViolation(
                     "T-neighbor at or below frontier",
                     {"vertex": u, "frontier": f, "target": w})
@@ -226,7 +226,7 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
                     q_ST=q_st, q_SU=q_su, q_UT=q_ut))
                 cp_i += 1
             m += k
-        elif debug_checks and w >= 0:
+        elif w >= 0:
             raise InvariantViolation("positive jump consumed no query",
                                      {"vertex": u, "target": w})
         if w >= 0:

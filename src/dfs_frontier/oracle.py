@@ -194,7 +194,7 @@ def _check_one(graph, label, out_dir, mismatches, bundle_dirs,
     cps = checkpoint_schedule(graph.n, None, stride)
     ref = run_reference(graph.n, graph, cps, record_events=False,
                         debug_checks=True)
-    fast = run_fast(graph, cps, debug_checks=True)
+    fast = run_fast(graph, cps)
     lines = compare_runs(graph, ref, fast)
     if not lines:
         return

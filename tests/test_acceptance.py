@@ -8,8 +8,6 @@ the thresholds live in one place. Each criterion prints one PASS/FAIL line;
 run with pytest -s to see them on a green suite.
 """
 
-import os
-
 import pytest
 
 from dfs_frontier.cli import RunConfig, evaluate_criteria, execute_run
@@ -22,7 +20,7 @@ from dfs_frontier.reference_engine import run_reference
 # (epsilon, n) campaign cells; 20 seeds each, fast engine.
 CELLS = ((0.05, 800_000), (0.1, 1_000_000), (0.2, 1_000_000))
 SEEDS_PER_CELL = 20
-BASE_SEED = int(os.environ.get("DFS_FRONTIER_BASE_SEED", "20260817"))
+BASE_SEED = 20260817
 
 
 def verdict(name, ok, detail):

@@ -2,6 +2,7 @@
 and the verify table. Everything but the import check drives
 cli.main(argv) in-process."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -20,7 +21,9 @@ from dfs_frontier.oracle import SweepResult
 class TestRunConfig:
     def test_epsilon_derives_p(self):
         cfg = RunConfig(n=60, epsilon=0.2, p=None, seed=1).validate()
-        assert cfg.p == pytest.approx(1.2 / 60)
+        assert cfg.edge_probability == pytest.approx(1.2 / 60)
+        assert RunConfig(n=60, epsilon=None, p=0.03,
+                         seed=1).edge_probability == 0.03
 
     def test_exactly_one_of_epsilon_p(self):
         with pytest.raises(ConfigError):
@@ -40,20 +43,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(n=10, epsilon=0.1, p=None, seed=1,
                       checkpoint_stride=0).validate()
-        with pytest.raises(ConfigError):
-            RunConfig(n=10, epsilon=0.1, p=None, seed=1,
-                      engine="turbo").validate()
-
-    def test_reference_scale_cap(self):
-        with pytest.raises(ConfigError):
-            RunConfig(n=5001, epsilon=0.1, p=None, seed=1,
-                      engine="reference").validate()
-        RunConfig(n=5001, epsilon=0.1, p=None, seed=1,
-                  engine="fast").validate()
 
     def test_design_band_warns_but_accepts(self, capsys):
         cfg = RunConfig(n=100, epsilon=0.7, p=None, seed=1).validate()
-        assert cfg.p == pytest.approx(1.7 / 100)
+        assert cfg.edge_probability == pytest.approx(1.7 / 100)
         assert "design band" in capsys.readouterr().err
 
 
@@ -82,26 +75,18 @@ class TestRunCommand:
         assert traj[0] == "m,size_S,size_U,size_T,q_ST,q_SU,q_UT"
         assert len(traj) > 3  # stride 40 yields many interior checkpoints
 
-    def test_engines_agree_through_cli(self, capsys):
-        base = ["--n", "60", "--epsilon", "0.2", "--seed", "11"]
-        assert main(["run"] + base + ["--engine", "reference"]) == 0
-        ref = json.loads(capsys.readouterr().out)
-        assert main(["run"] + base + ["--engine", "fast"]) == 0
-        fast = json.loads(capsys.readouterr().out)
-        assert ref["config"].pop("engine") == "reference"
-        assert fast["config"].pop("engine") == "fast"
-        assert ref == fast
-
     def test_both_epsilon_and_p_exits_2(self, capsys):
         rc = main(["run", "--n", "60", "--epsilon", "0.2", "--p", "0.02"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_reference_cap_exits_2(self, capsys):
-        rc = main(["run", "--n", "6000", "--epsilon", "0.1",
-                   "--engine", "reference"])
+    @pytest.mark.parametrize("extra", [[], ["--checkpoint-stride", "1"]])
+    def test_infeasible_reference_moments_exit_2(self, capsys, extra):
+        # m2 = 10 of n = 5, eps = 0.9 does not fit in the 10 pairs (m2 must
+        # be below C(n, 2)); the rule is the same with and without a stride.
+        rc = main(["run", "--n", "5", "--epsilon", "0.9", *extra])
         assert rc == 2
-        capsys.readouterr()
+        assert "does not fit in the pair space" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -119,18 +104,6 @@ class TestRunCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "invariant violation" in err and "'m': 17" in err
-
-    def test_env_seed_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("DFS_FRONTIER_BASE_SEED", "777")
-        assert main(["run", "--n", "60", "--epsilon", "0.2",
-                     "--seed", "5"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["config"]["seed"] == 777
-
-    def test_env_seed_garbage_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("DFS_FRONTIER_BASE_SEED", "lucky")
-        assert main(["run", "--n", "60", "--epsilon", "0.2"]) == 2
-        capsys.readouterr()
 
 
 class TestSweepCommand:
@@ -191,6 +164,29 @@ class TestSweepCommand:
                    "--out", str(tmp_path / "y"), "--budget", "2"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("epsilon", ["0.2,0.2000001", "0.1,0.1"])
+    def test_cells_sharing_a_directory_exit_2(self, tmp_path, capsys,
+                                              epsilon):
+        out = tmp_path / "z"
+        rc = main(["sweep", "--n", "60", "--epsilon", epsilon,
+                   "--seeds", "2", "--out", str(out)])
+        assert rc == 2
+        assert "cell-n60-eps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infeasible_cell_rejected_before_any_run(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_fast", no_run)
+        out = tmp_path / "w"
+        rc = main(["sweep", "--n", "60,5", "--epsilon", "0.9",
+                   "--seeds", "1", "--out", str(out)])
+        assert rc == 2
+        assert "does not fit in the pair space" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def passing_report(n, eps, seed, **overrides):
@@ -332,12 +328,36 @@ class TestExecuteRun:
         assert report.T_p_at_m1 is None
         assert [s.m for s in samples][0] == 0
 
+    def test_config_runs_twice(self):
+        cfg = RunConfig(n=200, epsilon=0.1, p=None, seed=4)
+        first = execute_run(cfg)
+        assert execute_run(cfg) == first
+        assert cfg.p is None
+
     def test_parser_round_trip(self):
         parser = build_parser()
         args = parser.parse_args(["sweep", "--n", "100,200",
                                   "--epsilon", "0.1", "--seeds", "2",
                                   "--out", "x"])
         assert args.n == [100, 200] and args.epsilon == [0.1]
+
+
+def test_cli_surface():
+    # Adding, removing or renaming a flag has to change this test on purpose.
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    surface = {name: {opt for action in sub._actions
+                      for opt in action.option_strings} - {"-h", "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert surface == {
+        "run": {"--n", "--epsilon", "--p", "--seed", "--checkpoint-stride",
+                "--out"},
+        "sweep": {"--n", "--epsilon", "--seeds", "--seed",
+                  "--checkpoint-stride", "--out", "--jobs", "--budget"},
+        "verify": set(),
+        "equivalence": {"--n-max", "--random-trials", "--seed", "--out"},
+    }
 
 
 def test_import_does_not_load_scipy():

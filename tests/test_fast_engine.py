@@ -6,6 +6,7 @@ import random
 import statistics
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,7 +113,7 @@ class TestSmallTraces:
 
     def test_single_edge(self):
         g = Graph.from_edges(3, [(0, 2)])
-        res = run_fast(g, checkpoints=range(4), debug_checks=True)
+        res = run_fast(g, checkpoints=range(4))
         assert res.report.dfs_query_total == 3
         assert res.report.max_U == 2
         # Checkpoint m=1 lands inside the jump from frontier -1 to the
@@ -149,6 +150,14 @@ class TestSmallTraces:
         assert res.report.longest_forest_path == 5
         assert res.report.max_U == 6
 
+    def test_unsorted_adjacency_raises(self):
+        # Row 0 is [2, 1]: without the guard the run silently returns the
+        # wrong forest [-1, 0, 0].
+        g = Graph(3, np.array([0, 0]), np.array([1, 2]),
+                  np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
+        with pytest.raises(InvariantViolation, match="at or below frontier"):
+            run_fast(g)
+
     def test_validation(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ConfigError):
@@ -162,7 +171,7 @@ class TestAgainstReference:
         cps = checkpoint_schedule(graph.n, None, 1)
         ref = run_reference(graph.n, graph, cps, record_events=False,
                             debug_checks=True)
-        fast = run_fast(graph, cps, debug_checks=True)
+        fast = run_fast(graph, cps)
         mismatches = compare_runs(graph, ref, fast)
         assert not mismatches, mismatches
 
