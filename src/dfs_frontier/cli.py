@@ -67,11 +67,6 @@ class RunConfig:
             if not 0.0 < self.epsilon < 1.0:
                 raise ConfigError(
                     f"epsilon must be in (0, 1), got {self.epsilon!r}")
-            if self.epsilon > EPSILON_DESIGN_BAND:
-                print(f"warning: epsilon={self.epsilon} is outside the "
-                      f"design band (0, {EPSILON_DESIGN_BAND}]; the "
-                      "supercritical approximations degrade",
-                      file=sys.stderr)
         p = self.edge_probability
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"p must be in [0, 1], got {p!r}")
@@ -81,6 +76,15 @@ class RunConfig:
             raise ConfigError(
                 f"checkpoint stride must be >= 1, got {self.checkpoint_stride}")
         return self
+
+
+def _warn_design_band(epsilon):
+    """One stderr line when epsilon is past the design band; `run` calls it
+    once, `sweep` once per cell."""
+    if epsilon is not None and epsilon > EPSILON_DESIGN_BAND:
+        print(f"warning: epsilon={epsilon} is outside the design band "
+              f"(0, {EPSILON_DESIGN_BAND}]; the supercritical "
+              "approximations degrade", file=sys.stderr)
 
 
 def execute_run(config):
@@ -110,6 +114,7 @@ def _run_report_task(config):
 def cmd_run(args):
     cfg = RunConfig(n=args.n, epsilon=args.epsilon, p=args.p,
                     seed=args.seed, checkpoint_stride=args.checkpoint_stride)
+    _warn_design_band(cfg.validate().epsilon)
     report, samples = execute_run(cfg)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -147,6 +152,7 @@ def cmd_sweep(args):
             raise ConfigError(f"two cells map to the directory {name}; "
                               "give distinct (n, epsilon) cells")
         dirs.add(name)
+        _warn_design_band(eps)
     os.makedirs(args.out, exist_ok=True)
     if args.jobs > 1:
         with Pool(args.jobs) as pool:

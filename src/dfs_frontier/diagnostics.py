@@ -96,8 +96,8 @@ def component_census(parents, push_order):
     minimum label.
     """
     n = len(parents)
-    order = np.fromiter(push_order, dtype=np.int64, count=n)
-    parent = np.fromiter(parents, dtype=np.int64, count=n)
+    order = np.asarray(push_order, dtype=np.int64)
+    parent = np.asarray(parents, dtype=np.int64)
     starts = np.flatnonzero(parent[order] < 0)
     sizes = np.diff(starts, append=n)
     g = int(np.argmax(sizes))
@@ -114,8 +114,24 @@ def forest_diameter_from_parents(parents, order):
 
     Max over trees of the tree diameter, by a DP that keeps the two deepest
     child paths per vertex; O(n). `order` must list vertices
-    parents-before-children, as a push order does.
+    parents-before-children, as a push order does. The DP runs in the native
+    kernel when it loads, else (and on out-of-range labels) in Python.
     """
+    from . import _native
+    lib = _native.kernel()
+    if lib is not None:
+        parents_a = np.ascontiguousarray(parents, dtype=np.int64)
+        order_a = np.ascontiguousarray(order, dtype=np.int64)
+        best = lib.forest_diameter(len(parents_a), parents_a, order_a,
+                                   len(order_a))
+        if best == -2:
+            raise MemoryError(f"forest diameter kernel at n = {len(parents)}")
+        if best >= 0:
+            return best
+    return _forest_diameter_python(parents, order)
+
+
+def _forest_diameter_python(parents, order):
     n = len(parents)
     down1 = [0] * n
     down2 = [0] * n
@@ -301,7 +317,8 @@ def assemble_run_report(*, config, n, epsilon, p, samples, max_U,
         max_U_argmax_m=max_U_argmax_m, longest_forest_path=lfp,
         excess_total=excess_total, giant_size=census.giant_size,
         second_size=census.second_size, T_p_at_m1=t_p_at_m1,
-        T_p_at_m2=t_p_at_m2, first_giant_entry_m=push_m[census.giant_root],
+        T_p_at_m2=t_p_at_m2,
+        first_giant_entry_m=int(push_m[census.giant_root]),
         dfs_query_total=dfs_query_total)
 
 

@@ -23,11 +23,20 @@ segment. That makes a checkpoint cost O(|U| log n), so dense schedules at
 large n are expensive; the default schedule is {0, m1, m2}. q_ST = |S|*|T|
 and q_SU = m - q_ST - q_UT are used as identities here; the reference engine
 is the implementation that checks them against honestly maintained buckets.
+
+The loop runs in C (`explore` in _kernel.c, compiled on first use by
+_native) and falls back to `_explore_python`, the same loop in Python, when
+no compiler is available. Both return the forest as int64 arrays and raise
+the same InvariantViolation on the same input; the tests compare them on
+every small graph.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .diagnostics import (TrajectorySample, assemble_run_report,
                           default_checkpoints, reference_moments)
@@ -108,9 +117,9 @@ def checkpoint_schedule(n, epsilon=None, stride=None):
 class FastResult:
     report: object            # RunReport
     samples: list             # TrajectorySample per reached checkpoint
-    parents: list             # DFS forest: parents[v] = parent or -1
-    push_order: list
-    push_m: list
+    parents: np.ndarray       # int64 DFS forest: parents[v] = parent or -1
+    push_order: np.ndarray    # int64 vertices in push order
+    push_m: np.ndarray        # int64 clock of each vertex's push
     unqueried_pairs: int      # C(n,2) - dfs_query_total
 
 
@@ -130,6 +139,78 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
     if cps and cps[0] < 0:
         raise ConfigError("checkpoints must be >= 0")
 
+    from . import _native
+    lib = _native.kernel()
+    explored = None if lib is None else _explore_native(lib, graph, cps)
+    if explored is None:
+        explored = _explore_python(graph, cps)
+    samples, parents, push_order, push_m, m, max_u, max_u_m = explored
+
+    cp_i = len(samples)
+    while cp_i < len(cps) and cps[cp_i] == m:
+        samples.append(TrajectorySample(m=m, size_S=n, size_U=0, size_T=0,
+                                        q_ST=0, q_SU=m, q_UT=0))
+        cp_i += 1
+
+    config = {"n": n, "epsilon": epsilon, "p": p, "seed": seed,
+              "engine": "fast"}
+    report = assemble_run_report(
+        config=config, n=n, epsilon=epsilon, p=p, samples=samples,
+        max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
+        parents=parents, push_order=push_order, push_m=push_m, graph=graph)
+    return FastResult(report=report, samples=samples, parents=parents,
+                      push_order=push_order, push_m=push_m,
+                      unqueried_pairs=pair_count(n) - m)
+
+
+# Kernel return codes of explore() in _kernel.c that are invariant
+# violations: message and the names of the three context values.
+_KERNEL_VIOLATIONS = {
+    1: ("T-neighbor at or below frontier", ("vertex", "frontier", "target")),
+    2: ("positive jump consumed no query", ("vertex", "target")),
+    3: ("negative q_SU at checkpoint", ("m", "q_ST", "q_UT")),
+}
+_BAD_ADJACENCY = 4
+_NO_MEMORY = 5
+
+
+def _explore_native(lib, graph, cps):
+    """The exploration loop in C; None when the CSR arrays are malformed,
+    so that the Python loop runs and fails the way it always did."""
+    n = graph.n
+    indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
+    nbrs = np.ascontiguousarray(graph.nbrs, dtype=np.int64)
+    if indptr.shape != (n + 1,) or nbrs.ndim != 1:
+        return None
+    # m never exceeds C(n, 2): later checkpoints are never reached.
+    reach = np.array(cps[:bisect_right(cps, pair_count(n))], dtype=np.int64)
+    parents = np.empty(n, dtype=np.int64)
+    push_order = np.empty(n, dtype=np.int64)
+    push_m = np.empty(n, dtype=np.int64)
+    rows = np.empty((len(reach), 7), dtype=np.int64)
+    info = np.zeros(7, dtype=np.int64)
+    rc = lib.explore(n, indptr, nbrs, len(nbrs), reach, len(reach), parents,
+                     push_order, push_m, rows, info)
+    m, max_u, max_u_m, taken, *context = info.tolist()
+    if rc in _KERNEL_VIOLATIONS:
+        message, keys = _KERNEL_VIOLATIONS[rc]
+        raise InvariantViolation(message, dict(zip(keys, context)))
+    if rc == _BAD_ADJACENCY:
+        return None
+    if rc == _NO_MEMORY:
+        raise MemoryError(f"explore kernel at n = {n}")
+    samples = [TrajectorySample(*row) for row in rows[:taken].tolist()]
+    return samples, parents, push_order, push_m, m, max_u, max_u_m
+
+
+def _explore_python(graph, cps):
+    """The exploration loop that _kernel.c ports line for line.
+
+    Returns (samples, parents, push_order, push_m, m, max_U,
+    max_U_argmax_m), with the samples of every checkpoint passed inside a
+    jump; checkpoints at the final clock are left to the caller.
+    """
+    n = graph.n
     tindex = TIndex(n)
     tree = tindex.tree
     present = tindex.present
@@ -252,20 +333,9 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
             size_s += 1
         fsum = None
 
-    while cp_i < ncp and cps[cp_i] == m:
-        samples.append(TrajectorySample(m=m, size_S=n, size_U=0, size_T=0,
-                                        q_ST=0, q_SU=m, q_UT=0))
-        cp_i += 1
-
-    config = {"n": n, "epsilon": epsilon, "p": p, "seed": seed,
-              "engine": "fast"}
-    report = assemble_run_report(
-        config=config, n=n, epsilon=epsilon, p=p, samples=samples,
-        max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
-        parents=parents, push_order=push_order, push_m=push_m, graph=graph)
-    return FastResult(report=report, samples=samples, parents=parents,
-                      push_order=push_order, push_m=push_m,
-                      unqueried_pairs=pair_count(n) - m)
+    return (samples, np.array(parents, dtype=np.int64),
+            np.array(push_order, dtype=np.int64),
+            np.array(push_m, dtype=np.int64), m, max_u, max_u_m)
 
 
 def _frontier_sum(tindex, stack, frontier):

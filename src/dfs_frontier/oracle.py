@@ -19,6 +19,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagnostics import METRIC_FIELDS, atomic_write_text, write_trajectory_csv
 from .errors import ConfigError
 from .fast_engine import checkpoint_schedule, run_fast
@@ -168,15 +170,12 @@ def compare_runs(graph, ref_result, fast_result):
             f"report.max_U_argmax_m: reference="
             f"{ref_result.report.max_U_argmax_m!r} "
             f"fast={fast_result.report.max_U_argmax_m!r}")
-    if ref_result.parents != fast_result.parents:
-        lines.append(f"parents: reference={ref_result.parents!r} "
-                     f"fast={fast_result.parents!r}")
-    if ref_result.push_order != fast_result.push_order:
-        lines.append(f"push_order: reference={ref_result.push_order!r} "
-                     f"fast={fast_result.push_order!r}")
-    if ref_result.push_m != fast_result.push_m:
-        lines.append(f"push_m: reference={ref_result.push_m!r} "
-                     f"fast={fast_result.push_m!r}")
+    for name in ("parents", "push_order", "push_m"):
+        a = getattr(ref_result, name)
+        b = getattr(fast_result, name)
+        if not np.array_equal(a, b):
+            lines.append(f"{name}: reference={np.asarray(a).tolist()!r} "
+                         f"fast={np.asarray(b).tolist()!r}")
     ra, fa = ref_result.samples, fast_result.samples
     if len(ra) != len(fa):
         lines.append(f"samples: reference has {len(ra)}, fast has {len(fa)}")

@@ -22,6 +22,11 @@ machines and sessions:
   gap. Because both bit-by-bit and skip consumption read the same pending
   gap, the two access patterns agree on success positions by construction.
 
+The gap loop runs in C when the native kernel loads (`gap_draw` in
+_kernel.c, compiled without FP contraction or fast-math so that every step
+rounds as in Python) and in Python otherwise; the tests require the two to
+agree bit for bit.
+
 The floor of a libm quotient is stable for a given libm; a 1-ulp difference
 in log1p across platforms could in principle move one gap boundary with
 probability on the order of 1e-16 per draw. The frozen stream tests pin the
@@ -233,10 +238,12 @@ class Graph:
                 key = edge_u * n + edge_v
                 if not (np.diff(key) > 0).all():
                     raise ValueError("edges must be lex-sorted and unique")
-        src = np.concatenate([edge_u, edge_v])
-        dst = np.concatenate([edge_v, edge_u])
-        order = np.lexsort((dst, src))
-        nbrs = dst[order].astype(np.int64)
+        # Row x lists the u < x of edges (u, x), then the v > x of edges
+        # (x, v), each ascending because the edges are lex-sorted; a stable
+        # sort by row keeps that order.
+        src = np.concatenate([edge_v, edge_u])
+        dst = np.concatenate([edge_u, edge_v])
+        nbrs = dst[np.argsort(src, kind="stable")]
         counts = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -300,24 +307,50 @@ def materialize_graph(n, p, seed):
     elif p >= 1.0:
         idxs = np.arange(total, dtype=np.int64)
     else:
-        # Inlined gap loop (one u64 per gap); equivalent to repeated
-        # BitStream.skip_to_next_success, which the tests assert.
-        rng = Xoshiro256StarStar(seed)
-        next_u64 = rng.next_u64
-        log1p = math.log1p
-        log1mp = log1p(-p)
-        out = []
-        append = out.append
-        idx = -1
-        while True:
-            u = (next_u64() >> 11) * _INV53
-            idx += int(log1p(-u) / log1mp) + 1
-            if idx >= total:
-                break
-            append(idx)
-        idxs = np.array(out, dtype=np.int64)
+        idxs = _gap_indices(p, seed, total)
     edge_u, edge_v = _pairs_from_indices(n, idxs)
     return Graph.from_edge_arrays(n, edge_u, edge_v, validate=False)
+
+
+def _gap_indices(p, seed, total):
+    """Success positions of BitStream(seed, p) over the pair indices
+    [0, total), 0 < p < 1, as an int64 array; the native kernel when it
+    loads, else the Python loop."""
+    from . import _native
+    lib = _native.kernel()
+    if lib is None:
+        return _gap_indices_python(p, seed, total)
+    rng = Xoshiro256StarStar(seed)
+    state = np.array([rng._s0, rng._s1, rng._s2, rng._s3], dtype=np.uint64)
+    last = np.array([-1], dtype=np.int64)
+    mean = total * p
+    cap = min(total, int(mean + 6.0 * math.sqrt(mean)) + 16)
+    chunks = []
+    while last[0] < total:
+        buf = np.empty(cap, dtype=np.int64)
+        got = lib.gap_draw(state, math.log1p(-p), last, total, buf, cap)
+        chunks.append(buf[:got])
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def _gap_indices_python(p, seed, total):
+    # One u64 per gap; equivalent to repeated
+    # BitStream.skip_to_next_success, which the tests assert. The gap q is
+    # compared before int(): below p ~ 2e-307 it can be infinite.
+    next_u64 = Xoshiro256StarStar(seed).next_u64
+    log1p = math.log1p
+    log1mp = log1p(-p)
+    out = []
+    append = out.append
+    idx = -1
+    while True:
+        u = (next_u64() >> 11) * _INV53
+        q = log1p(-u) / log1mp
+        if q >= total - idx - 1:
+            break
+        idx += int(q) + 1
+        append(idx)
+    return np.array(out, dtype=np.int64)
 
 
 def _pairs_from_indices(n, idxs):

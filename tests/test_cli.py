@@ -5,8 +5,10 @@ cli.main(argv) in-process."""
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
+import sysconfig
 
 import pytest
 
@@ -45,9 +47,12 @@ class TestRunConfig:
                       checkpoint_stride=0).validate()
 
     def test_design_band_warns_but_accepts(self, capsys):
+        # validate() accepts quietly; the command prints the warning once.
         cfg = RunConfig(n=100, epsilon=0.7, p=None, seed=1).validate()
         assert cfg.edge_probability == pytest.approx(1.7 / 100)
-        assert "design band" in capsys.readouterr().err
+        assert capsys.readouterr().err == ""
+        assert main(["run", "--n", "100", "--epsilon", "0.7"]) == 0
+        assert capsys.readouterr().err.count("design band") == 1
 
 
 class TestRunCommand:
@@ -154,6 +159,18 @@ class TestSweepCommand:
                     assert ma == mb
                 else:
                     assert open(a).read() == open(b).read(), (rel, name)
+
+    def test_design_band_warning_once_per_cell(self, tmp_path, capsys):
+        # Two seeds of one cell past the band: one warning, not one per
+        # validation of each run.
+        rc = main(["sweep", "--n", "60", "--epsilon", "0.7", "--seeds", "2",
+                   "--out", str(tmp_path / "sweep")])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines()
+                if "design band" in line] == [
+            "warning: epsilon=0.7 is outside the design band (0, 0.5]; the "
+            "supercritical approximations degrade"]
 
     def test_budget_guard(self, tmp_path, capsys):
         rc = main(["sweep", "--n", "60", "--epsilon", "0.2",
@@ -360,12 +377,25 @@ def test_cli_surface():
     }
 
 
-def test_import_does_not_load_scipy():
-    # scipy is a test-only dependency: a fresh interpreter that imports the
-    # console-script module must not pull it in.
+def test_import_does_not_load_scipy(tmp_path):
+    # scipy is a test-only dependency, and the native kernel loads on first
+    # use: a fresh interpreter that imports the console-script module must
+    # pull in neither scipy nor the loader, and must start no compiler.
+    # Every compiler name the loader could resolve leads to a stub on PATH
+    # that leaves a mark.
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, dfs_frontier.cli; print('scipy' in sys.modules)"
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    mark = tmp_path / "compiler-started"
+    for name in {"cc", "gcc", os.path.basename(cc)}:
+        stub = tmp_path / name
+        stub.write_text(f"#!/bin/sh\ntouch {mark}\nexit 1\n")
+        stub.chmod(0o755)
+    code = ("import sys, dfs_frontier.cli; "
+            "print('scipy' in sys.modules, "
+            "'dfs_frontier._native' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+                         env=dict(os.environ, PYTHONPATH=src,
+                                  PATH=f"{tmp_path}:{os.environ['PATH']}"))
+    assert out.stdout.strip() == "False False"
+    assert not mark.exists()

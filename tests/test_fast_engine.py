@@ -109,7 +109,7 @@ class TestSmallTraces:
         assert res.report.dfs_query_total == 2
         assert res.report.max_U == 3
         assert res.unqueried_pairs == 1
-        assert res.parents == [-1, 0, 1]
+        assert res.parents.tolist() == [-1, 0, 1]
 
     def test_single_edge(self):
         g = Graph.from_edges(3, [(0, 2)])
@@ -207,14 +207,16 @@ class TestAgainstReference:
 class TestRuntimeScaling:
     def test_near_linear_in_n(self):
         # Doubling n should scale the run by roughly 2 x log factor; 2.6
-        # per doubling is the documented bound, median of 3 repetitions.
+        # per doubling is the documented bound, median of 9 repetitions
+        # (the native loop runs in tens of milliseconds, where a shared
+        # host's bursts would decide a median of 3).
         sizes = (100_000, 200_000, 400_000)
         eps = 0.1
         graphs = {n: materialize_graph(n, (1 + eps) / n, 321) for n in sizes}
         medians = {}
         for n in sizes:
             times = []
-            for _ in range(3):
+            for _ in range(9):
                 t0 = time.perf_counter()
                 run_fast(graphs[n], epsilon=eps, p=(1 + eps) / n, seed=321)
                 times.append(time.perf_counter() - t0)
