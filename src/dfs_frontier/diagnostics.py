@@ -93,11 +93,23 @@ def component_census(parents, push_order):
     starting at a root (parents[v] < 0), so the sizes are the gaps between
     consecutive root positions. Roots are pushed in increasing label order,
     hence the first largest tree is the largest component with the smallest
-    minimum label.
+    minimum label. The pass runs in the native kernel when it loads, else
+    (and on out-of-range labels) in numpy.
     """
     n = len(parents)
     order = np.asarray(push_order, dtype=np.int64)
     parent = np.asarray(parents, dtype=np.int64)
+    from . import _native
+    lib = _native.kernel()
+    if lib is not None:
+        out = np.zeros(4, dtype=np.int64)
+        if lib.census(n, np.ascontiguousarray(parent),
+                      np.ascontiguousarray(order), len(order), out) == 0:
+            giant_size, second_size, giant_root, n_components = out.tolist()
+            return ComponentCensus(giant_size=giant_size,
+                                   second_size=second_size,
+                                   giant_root=giant_root,
+                                   n_components=n_components)
     starts = np.flatnonzero(parent[order] < 0)
     sizes = np.diff(starts, append=n)
     g = int(np.argmax(sizes))
@@ -114,8 +126,9 @@ def forest_diameter_from_parents(parents, order):
 
     Max over trees of the tree diameter, by a DP that keeps the two deepest
     child paths per vertex; O(n). `order` must list vertices
-    parents-before-children, as a push order does. The DP runs in the native
-    kernel when it loads, else (and on out-of-range labels) in Python.
+    parents-before-children, as a push order does. A DFS preorder, such as
+    the engines' push order, runs in the native kernel when it loads; other
+    orders and out-of-range labels run the DP in Python.
     """
     from . import _native
     lib = _native.kernel()

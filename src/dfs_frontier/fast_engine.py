@@ -25,10 +25,11 @@ and q_SU = m - q_ST - q_UT are used as identities here; the reference engine
 is the implementation that checks them against honestly maintained buckets.
 
 The loop runs in C (`explore` in _kernel.c, compiled on first use by
-_native) and falls back to `_explore_python`, the same loop in Python, when
-no compiler is available. Both return the forest as int64 arrays and raise
-the same InvariantViolation on the same input; the tests compare them on
-every small graph.
+_native) on a copy of the graph laid out component by component, so that
+the walk stays in cache; it falls back to `_explore_python`, the same loop
+in Python, when no compiler is available. Both return the forest as int64
+arrays and raise the same InvariantViolation on the same input; the tests
+compare them on every small graph.
 """
 
 from __future__ import annotations
@@ -175,8 +176,9 @@ _NO_MEMORY = 5
 
 
 def _explore_native(lib, graph, cps):
-    """The exploration loop in C; None when the CSR arrays are malformed,
-    so that the Python loop runs and fails the way it always did."""
+    """The exploration loop in C; None when the CSR arrays are malformed or
+    too large for the kernel's 32-bit slots, so that the Python loop runs
+    and fails, or succeeds, the way it always did."""
     n = graph.n
     indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
     nbrs = np.ascontiguousarray(graph.nbrs, dtype=np.int64)

@@ -12,12 +12,13 @@ import pytest
 
 from dfs_frontier import _native, cli
 from dfs_frontier.diagnostics import (_forest_diameter_python,
+                                      component_census,
                                       forest_diameter_from_parents)
 from dfs_frontier.fast_engine import checkpoint_schedule, run_fast
 from dfs_frontier.oracle import RANDOM_DENSITY_LADDER, SmallGraphEnumeration
-from dfs_frontier.randomness import (Xoshiro256StarStar, _gap_indices,
-                                     _gap_indices_python, materialize_graph,
-                                     pair_count)
+from dfs_frontier.randomness import (Graph, Xoshiro256StarStar,
+                                     _gap_indices, _gap_indices_python,
+                                     materialize_graph, pair_count)
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
@@ -79,6 +80,27 @@ def test_explore_checkpoints_past_the_pair_space(lib, python_loops):
     assert native.samples == python_loops(run_fast, graph, cps).samples
 
 
+def test_explore_one_directional_rows(lib, python_loops):
+    # Rows need not mirror each other. The kernel's slot layout then groups
+    # the vertices more coarsely than the walk meets them, which changes
+    # nothing: both paths pick roots and neighbors by label.
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        rows = [sorted(set(rng.integers(0, n, rng.integers(0, 4)).tolist())
+                       - {v}) for v in range(n)]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        nbrs = np.array([x for r in rows for x in r], dtype=np.int64)
+        none = np.zeros(0, dtype=np.int64)
+        graph = Graph(n, none, none, indptr, nbrs)
+        native = run_fast(graph, [0])
+        python = python_loops(run_fast, graph, [0])
+        for name in ("parents", "push_order", "push_m"):
+            assert np.array_equal(getattr(native, name),
+                                  getattr(python, name)), (name, rows)
+        assert native.report == python.report, rows
+
+
 GAP_GRID_N = (0, 1, 2, 200, 5000)
 # Below about 2e-307 a gap can overflow to an infinite quotient.
 GAP_GRID_P = (5e-324, 1e-310, 1e-300, 1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.999,
@@ -130,6 +152,57 @@ def test_forest_diameter_matches_python_loop(lib):
             assert (forest_diameter_from_parents(res.parents, res.push_order)
                     == _forest_diameter_python(res.parents.tolist(),
                                                res.push_order.tolist()))
+
+
+def preorder(parents):
+    children = [[] for _ in parents]
+    for v, p in enumerate(parents):
+        if p >= 0:
+            children[p].append(v)
+    order = []
+    for root in (v for v, p in enumerate(parents) if p < 0):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(children[v]))
+    return order
+
+
+def test_forest_diameter_in_any_parents_first_order(lib):
+    # The engines push in DFS preorder, which the kernel reads in one
+    # forward pass; any other parents-before-children order, such as
+    # ascending labels here, runs the Python DP instead.
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        parents = [-1 if v == 0 or rng.random() < 0.2
+                   else int(rng.integers(0, v)) for v in range(n)]
+        for order in (list(range(n)), preorder(parents)):
+            assert (forest_diameter_from_parents(parents, order)
+                    == _forest_diameter_python(parents, order)), (parents,
+                                                                 order)
+
+
+CENSUS_CASES = [
+    ([-1], [0]),
+    ([-1, 0, -1, 2, -1], [0, 1, 2, 3, 4]),    # a tie for the largest tree
+    ([-1, -1, 1, 1], [0, 1, 2, 3]),
+    ([1, -1, -1], [0, 1, 2]),                 # the order starts inside a tree
+    ([-1, 0, 0, -1], [0, 1, 2]),              # shorter than parents
+]
+
+
+def test_census_matches_numpy(lib, python_loops):
+    for parents, order in CENSUS_CASES:
+        assert (component_census(parents, order)
+                == python_loops(component_census, parents, order)), parents
+    # No root, or a label past the end: the kernel hands over to numpy,
+    # which raises as it always did.
+    with pytest.raises(ValueError):
+        component_census([0, 0], [0, 1])
+    with pytest.raises(IndexError):
+        component_census([-1], [0, 3])
 
 
 def test_forest_diameter_out_of_range_runs_python(lib):
