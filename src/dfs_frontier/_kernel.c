@@ -1,10 +1,9 @@
 /* Native kernels of dfs_frontier: the geometric gap draw, the fast engine's
- * exploration loop, the component census and the forest diameter.
+ * exploration loop and the forest diameter.
  *
  * Each function does the work of Python code that stays in the package as
  * the readable specification and as the fallback when no C compiler is
- * present: randomness._gap_indices_python, fast_engine._explore_python, the
- * numpy body of diagnostics.component_census and
+ * present: randomness._gap_indices_python, fast_engine._explore_python and
  * diagnostics._forest_diameter_python. The outputs are identical bit for
  * bit. The gap draw relies on that: it must be compiled without
  * -ffast-math and without FP contraction (-std=c99 turns contraction off),
@@ -147,22 +146,25 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
 {
     if (n < 1 || n >= INT32_MAX - AHEAD || nnz >= INT32_MAX || indptr[0] < 0)
         return BAD_ADJACENCY;
-    tset t = {NULL, NULL, (n + 63) >> 6};
-    t.bits = malloc((size_t)t.nw * sizeof *t.bits);
-    t.tree = calloc((size_t)t.nw + 1, sizeof *t.tree);
-    int32_t *slot = malloc((size_t)n * sizeof *slot);
-    int32_t *lab = malloc((size_t)n * sizeof *lab);
-    int32_t *row = malloc((size_t)(n + 1) * sizeof *row);
-    int32_t *adj = malloc((size_t)(nnz + 1) * sizeof *adj);
-    int32_t *push_parent = malloc((size_t)n * sizeof *push_parent);
-    int64_t *push_m_seq = malloc((size_t)n * sizeof *push_m_seq);
-    frame *stack = malloc((size_t)n * sizeof *stack);
+    /* All scratch lives in one block, so that the allocator can reuse it
+     * whole from one run to the next instead of handing fresh pages (a
+     * fault per 4 KiB) to some of the runs. */
+    size_t nn = (size_t)n, nw = (nn + 63) >> 6;
+    char *block = malloc(nn * (sizeof(frame) + sizeof(int64_t))
+                         + nw * sizeof(uint64_t)
+                         + (nw + 4 * nn + (size_t)nnz + 3) * sizeof(int32_t));
+    if (!block)
+        return NO_MEMORY;
+    frame *stack = (frame *)block;
+    int64_t *push_m_seq = (int64_t *)(stack + nn);
+    tset t = {(uint64_t *)(push_m_seq + nn), NULL, (int64_t)nw};
+    t.tree = (int32_t *)(t.bits + nw);
+    int32_t *slot = t.tree + nw + 1;
+    int32_t *lab = slot + nn;
+    int32_t *push_parent = lab + nn;
+    int32_t *row = push_parent + nn;
+    int32_t *adj = row + nn + 1;
     int rc = EXPLORE_OK;
-    if (!t.bits || !t.tree || !slot || !lab || !row || !adj
-        || !push_parent || !push_m_seq || !stack) {
-        rc = NO_MEMORY;
-        goto done;
-    }
 
     /* Components by union-find in comp (push_parent's storage, unused until
      * the walk), each root linked under the smaller one, so comp[v] <= v
@@ -235,6 +237,8 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
         row[s + 1] = o;
     }
 
+    for (int64_t i = 0; i <= t.nw; i++)
+        t.tree[i] = 0;
     for (int64_t i = 0; i < t.nw; i++) {
         int64_t c = n - 64 * i < 64 ? n - 64 * i : 64;
         t.bits[i] = c == 64 ? ~UINT64_C(0) : (UINT64_C(1) << c) - 1;
@@ -363,61 +367,8 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
     info[2] = max_u_m;
     info[3] = cp_i;
 done:
-    free(t.bits);
-    free(t.tree);
-    free(slot);
-    free(lab);
-    free(row);
-    free(adj);
-    free(push_parent);
-    free(push_m_seq);
-    free(stack);
+    free(block);
     return rc;
-}
-
-/* Tree sizes of a DFS forest read off its push order, as
- * diagnostics.component_census computes them: a tree starts at each root
- * (parents[v] < 0) and the last one runs to position n. out receives (giant
- * size, second size, giant root, tree count), the giant being the first
- * largest tree. Returns -1, and leaves the work to the numpy code, when an
- * entry of order is out of range or no entry is a root. */
-int census(int64_t n, const int64_t *parents, const int64_t *order,
-           int64_t len, int64_t *out)
-{
-    int64_t start = -1, trees = 0, giant = 0, second = 0, root = -1;
-    for (int64_t i = 0; i <= len; i++) {
-        if (i < len) {
-            if (i + AHEAD < len && order[i + AHEAD] >= 0
-                && order[i + AHEAD] < n)
-                PREFETCH(&parents[order[i + AHEAD]]);
-            if (order[i] < 0 || order[i] >= n)
-                return -1;
-            if (parents[order[i]] >= 0)
-                continue;
-        }
-        if (start >= 0) {
-            int64_t size = (i < len ? i : n) - start;
-            if (trees == 1 || size > giant) {
-                if (giant > second)
-                    second = giant;
-                giant = size;
-                root = order[start];
-            } else if (size > second) {
-                second = size;
-            }
-        }
-        if (i < len) {
-            start = i;
-            trees++;
-        }
-    }
-    if (trees == 0)
-        return -1;
-    out[0] = giant;
-    out[1] = second;
-    out[2] = root;
-    out[3] = trees;
-    return 0;
 }
 
 /* One vertex of the current root path, with its two deepest child paths. */

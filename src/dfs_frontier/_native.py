@@ -100,6 +100,4 @@ def _declare(lib):
     lib.explore.restype = ctypes.c_int
     lib.forest_diameter.argtypes = [i64, arr, arr, i64]
     lib.forest_diameter.restype = i64
-    lib.census.argtypes = [i64, arr, arr, i64, arr]
-    lib.census.restype = ctypes.c_int
     return lib

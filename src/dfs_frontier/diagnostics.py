@@ -93,23 +93,11 @@ def component_census(parents, push_order):
     starting at a root (parents[v] < 0), so the sizes are the gaps between
     consecutive root positions. Roots are pushed in increasing label order,
     hence the first largest tree is the largest component with the smallest
-    minimum label. The pass runs in the native kernel when it loads, else
-    (and on out-of-range labels) in numpy.
+    minimum label.
     """
     n = len(parents)
     order = np.asarray(push_order, dtype=np.int64)
     parent = np.asarray(parents, dtype=np.int64)
-    from . import _native
-    lib = _native.kernel()
-    if lib is not None:
-        out = np.zeros(4, dtype=np.int64)
-        if lib.census(n, np.ascontiguousarray(parent),
-                      np.ascontiguousarray(order), len(order), out) == 0:
-            giant_size, second_size, giant_root, n_components = out.tolist()
-            return ComponentCensus(giant_size=giant_size,
-                                   second_size=second_size,
-                                   giant_root=giant_root,
-                                   n_components=n_components)
     starts = np.flatnonzero(parent[order] < 0)
     sizes = np.diff(starts, append=n)
     g = int(np.argmax(sizes))

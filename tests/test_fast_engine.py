@@ -207,20 +207,20 @@ class TestAgainstReference:
 class TestRuntimeScaling:
     def test_near_linear_in_n(self):
         # Doubling n should scale the run by roughly 2 x log factor; 2.6
-        # per doubling is the documented bound, median of 9 repetitions.
-        # The sizes take turns, so that a change in the host's load over
-        # the test's second or so (a run takes tens of milliseconds) falls
-        # on every size alike instead of on one size's repetitions.
+        # per doubling is the documented bound, median of 21 repetitions
+        # (the native loop runs in tens of milliseconds, where a shared
+        # host's bursts would decide a median of 3).
         sizes = (100_000, 200_000, 400_000)
         eps = 0.1
         graphs = {n: materialize_graph(n, (1 + eps) / n, 321) for n in sizes}
-        times = {n: [] for n in sizes}
-        for _ in range(9):
-            for n in sizes:
+        medians = {}
+        for n in sizes:
+            times = []
+            for _ in range(21):
                 t0 = time.perf_counter()
                 run_fast(graphs[n], epsilon=eps, p=(1 + eps) / n, seed=321)
-                times[n].append(time.perf_counter() - t0)
-        medians = {n: statistics.median(t) for n, t in times.items()}
+                times.append(time.perf_counter() - t0)
+            medians[n] = statistics.median(times)
         r1 = medians[200_000] / medians[100_000]
         r2 = medians[400_000] / medians[200_000]
         assert r1 <= 2.6 and r2 <= 2.6, (medians, r1, r2)

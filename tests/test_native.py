@@ -12,7 +12,6 @@ import pytest
 
 from dfs_frontier import _native, cli
 from dfs_frontier.diagnostics import (_forest_diameter_python,
-                                      component_census,
                                       forest_diameter_from_parents)
 from dfs_frontier.fast_engine import checkpoint_schedule, run_fast
 from dfs_frontier.oracle import RANDOM_DENSITY_LADDER, SmallGraphEnumeration
@@ -182,27 +181,6 @@ def test_forest_diameter_in_any_parents_first_order(lib):
             assert (forest_diameter_from_parents(parents, order)
                     == _forest_diameter_python(parents, order)), (parents,
                                                                  order)
-
-
-CENSUS_CASES = [
-    ([-1], [0]),
-    ([-1, 0, -1, 2, -1], [0, 1, 2, 3, 4]),    # a tie for the largest tree
-    ([-1, -1, 1, 1], [0, 1, 2, 3]),
-    ([1, -1, -1], [0, 1, 2]),                 # the order starts inside a tree
-    ([-1, 0, 0, -1], [0, 1, 2]),              # shorter than parents
-]
-
-
-def test_census_matches_numpy(lib, python_loops):
-    for parents, order in CENSUS_CASES:
-        assert (component_census(parents, order)
-                == python_loops(component_census, parents, order)), parents
-    # No root, or a label past the end: the kernel hands over to numpy,
-    # which raises as it always did.
-    with pytest.raises(ValueError):
-        component_census([0, 0], [0, 1])
-    with pytest.raises(IndexError):
-        component_census([-1], [0, 3])
 
 
 def test_forest_diameter_out_of_range_runs_python(lib):
