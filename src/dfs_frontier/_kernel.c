@@ -1,13 +1,13 @@
-/* Native kernels of dfs_frontier: the geometric gap draw, the fast engine's
- * exploration loop and the forest diameter.
+/* Native kernels of dfs_frontier: the geometric gap draw and the fast
+ * engine's exploration loop, which also yields the DFS forest's diameter.
  *
  * Each function does the work of Python code that stays in the package as
  * the readable specification and as the fallback when no C compiler is
- * present: randomness._gap_indices_python, fast_engine._explore_python and
- * diagnostics._forest_diameter_python. The outputs are identical bit for
- * bit. The gap draw relies on that: it must be compiled without
- * -ffast-math and without FP contraction (-std=c99 turns contraction off),
- * so that u, log1p(-u) and the quotient round exactly as in Python.
+ * present: randomness._gap_indices_python and fast_engine._explore_python.
+ * The outputs are identical bit for bit. The gap draw relies on that: it
+ * must be compiled without -ffast-math and without FP contraction (-std=c99
+ * turns contraction off), so that u, log1p(-u) and the quotient round
+ * exactly as in Python.
  */
 #include <math.h>
 #include <stdint.h>
@@ -114,11 +114,12 @@ static int32_t uf_find(int32_t *uf, int32_t x)
     return x;
 }
 
-/* A stack entry: vertex label v, its frontier label f, and the unread part
- * [cur, end) of its row in the slot adjacency. */
+/* A stack entry: vertex label v, its frontier label f, the unread part
+ * [cur, end) of its row in the slot adjacency, and the two deepest paths
+ * down into its completed children, in edges (0 without children). */
 typedef struct {
     int64_t f;
-    int32_t v, cur, end;
+    int32_t v, cur, end, d1, d2;
 } frame;
 
 /* The fast engine's exploration loop (see fast_engine.py).
@@ -135,10 +136,13 @@ typedef struct {
  *
  * cps holds the ncp sorted checkpoints that are <= C(n, 2); every one met
  * inside a jump is written to samples as a row (m, |S|, |U|, |T|, q_ST, q_SU,
- * q_UT). info receives (m, max_U, max_U_argmax_m, samples written) and, on an
- * invariant violation, its three context values. Returns an EXPLORE_* code;
- * BAD_ADJACENCY means the CSR arrays are malformed (or too large for 32-bit
- * slots) and nothing is valid. */
+ * q_UT). info receives (m, max_U, max_U_argmax_m, samples written) in
+ * [0, 4), on an invariant violation its three context values in [4, 7),
+ * and in info[7] the forest's longest path in edges: a vertex's subtree is
+ * final when it is popped, so the pop closes its two deepest child paths
+ * and hands the deeper one, one edge longer, to its parent. Returns an
+ * EXPLORE_* code; BAD_ADJACENCY means the CSR arrays are malformed (or too
+ * large for 32-bit slots) and nothing is valid. */
 int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
             int64_t nnz, const int64_t *cps, int64_t ncp, int64_t *parents,
             int64_t *push_order, int64_t *push_m, int64_t *samples,
@@ -250,6 +254,7 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
     int64_t top = 0, npush = 0, size_t_ = n, size_s = 0, m = 0;
     int64_t max_u = 0, max_u_m = 0, min_word = 0, cp_i = 0;
     int64_t fsum = -1;   /* frontier sum at the settled moment; -1 = stale */
+    int64_t best = 0;    /* longest path among the completed subtrees */
 
     for (;;) {
         int32_t u, w = -1, ws = -1;
@@ -329,7 +334,18 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
                 goto done;
             }
             if (w < 0) {
-                top--;
+                if (fr->d1 + fr->d2 > best)
+                    best = fr->d1 + fr->d2;
+                if (--top > 0) {
+                    frame *up = &stack[top - 1];
+                    int32_t d = fr->d1 + 1;
+                    if (d > up->d1) {
+                        up->d2 = up->d1;
+                        up->d1 = d;
+                    } else if (d > up->d2) {
+                        up->d2 = d;
+                    }
+                }
                 size_s++;
                 fsum = -1;
                 continue;
@@ -345,6 +361,8 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
         nf->v = w;
         nf->cur = row[ws];
         nf->end = row[ws + 1];
+        nf->d1 = 0;
+        nf->d2 = 0;
         push_parent[npush] = u;
         push_m_seq[npush] = m;
         push_order[npush++] = w;
@@ -366,85 +384,8 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
     info[1] = max_u;
     info[2] = max_u_m;
     info[3] = cp_i;
+    info[7] = best;
 done:
     free(block);
     return rc;
-}
-
-/* One vertex of the current root path, with its two deepest child paths. */
-typedef struct {
-    int64_t v, d1, d2;
-} path_entry;
-
-static void add_child_depth(path_entry *e, int64_t d)
-{
-    if (d > e->d1) {
-        e->d2 = e->d1;
-        e->d1 = d;
-    } else if (d > e->d2) {
-        e->d2 = d;
-    }
-}
-
-/* The diameter DP in one forward pass, for an order that is a DFS preorder:
- * each vertex once, its parent on the path from its root. A vertex's child
- * depths are final when it leaves the path, so only the path is kept and
- * parents[] is the one array read out of order. Returns -3 as soon as the
- * order is not such a preorder, -1 on an out-of-range entry. */
-static int64_t preorder_diameter(int64_t n, const int64_t *parents,
-                                 const int64_t *order, int64_t len,
-                                 path_entry *path, uint64_t *seen)
-{
-    int64_t top = 0, best = 0;
-    for (int64_t i = 0; i <= len; i++) {
-        int64_t v = -1, p = -1;
-        if (i < len) {
-            if (i + AHEAD < len && order[i + AHEAD] >= 0
-                && order[i + AHEAD] < n)
-                PREFETCH(&parents[order[i + AHEAD]]);
-            v = order[i];
-            if (v < 0 || v >= n || parents[v] >= n)
-                return -1;
-            if ((seen[v >> 6] >> (v & 63)) & 1)
-                return -3;
-            seen[v >> 6] |= UINT64_C(1) << (v & 63);
-            p = parents[v];
-        }
-        /* Close the path down to v's parent (all of it for a root). */
-        while (top > 0 && (p < 0 || path[top - 1].v != p)) {
-            path_entry *e = &path[--top];
-            if (e->d1 + e->d2 > best)
-                best = e->d1 + e->d2;
-            if (top > 0)
-                add_child_depth(&path[top - 1], e->d1 + 1);
-        }
-        if (p >= 0 && top == 0)
-            return -3;
-        if (i < len) {
-            path[top].v = v;
-            path[top].d1 = 0;
-            path[top].d2 = 0;
-            top++;
-        }
-    }
-    return best;
-}
-
-/* Longest path (in edges) of the forest given by parents (see
- * diagnostics.forest_diameter_from_parents), for an order that is a DFS
- * preorder, as the engines' push order is. Returns -1 when an entry of order
- * or parents is out of range, -2 when out of memory and -3 when order is
- * not such a preorder; the Python DP then takes any parents-first order. */
-int64_t forest_diameter(int64_t n, const int64_t *parents,
-                        const int64_t *order, int64_t len)
-{
-    int64_t depth = len < n ? len : n;
-    path_entry *path = malloc(((size_t)depth + 1) * sizeof *path);
-    uint64_t *seen = calloc(((size_t)n >> 6) + 1, sizeof *seen);
-    int64_t best = -2;
-    if (path && seen)
-        best = preorder_diameter(n, parents, order, len, path, seen);
-    free(path);
-    free(seen);
-    return best;
 }

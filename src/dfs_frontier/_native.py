@@ -98,6 +98,4 @@ def _declare(lib):
     lib.explore.argtypes = [i64, arr, arr, i64, arr, i64, arr, arr, arr,
                             arr, arr]
     lib.explore.restype = ctypes.c_int
-    lib.forest_diameter.argtypes = [i64, arr, arr, i64]
-    lib.forest_diameter.restype = i64
     return lib

@@ -114,25 +114,10 @@ def forest_diameter_from_parents(parents, order):
 
     Max over trees of the tree diameter, by a DP that keeps the two deepest
     child paths per vertex; O(n). `order` must list vertices
-    parents-before-children, as a push order does. A DFS preorder, such as
-    the engines' push order, runs in the native kernel when it loads; other
-    orders and out-of-range labels run the DP in Python.
+    parents-before-children, as a push order does. The fast engine reads the
+    same quantity off its walk; this DP is the independent computation the
+    reference engine reports and the tests check the walk against.
     """
-    from . import _native
-    lib = _native.kernel()
-    if lib is not None:
-        parents_a = np.ascontiguousarray(parents, dtype=np.int64)
-        order_a = np.ascontiguousarray(order, dtype=np.int64)
-        best = lib.forest_diameter(len(parents_a), parents_a, order_a,
-                                   len(order_a))
-        if best == -2:
-            raise MemoryError(f"forest diameter kernel at n = {len(parents)}")
-        if best >= 0:
-            return best
-    return _forest_diameter_python(parents, order)
-
-
-def _forest_diameter_python(parents, order):
     n = len(parents)
     down1 = [0] * n
     down2 = [0] * n
@@ -282,13 +267,16 @@ def aggregate(reports):
 
 
 def assemble_run_report(*, config, n, epsilon, p, samples, max_U,
-                        max_U_argmax_m, dfs_query_total, parents, push_order,
-                        push_m, graph=None):
+                        max_U_argmax_m, dfs_query_total, longest_forest_path,
+                        parents, push_order, push_m, graph=None):
     """Build a RunReport from raw engine outputs.
 
     Shared by both engines so report semantics cannot drift between them.
-    Fields whose inputs are unavailable (no epsilon, checkpoint not reached,
-    no graph to count edges for excess_total) come out None.
+    Each engine computes `longest_forest_path` its own way (the fast engine
+    during its walk, the reference engine with forest_diameter_from_parents),
+    so the oracle's report comparison checks one against the other. Fields
+    whose inputs are unavailable (no epsilon, checkpoint not reached, no
+    graph to count edges for excess_total) come out None.
     """
     by_m = {s.m: s for s in samples}
     u_at_m1 = q_ut_at_m1 = None
@@ -308,14 +296,14 @@ def assemble_run_report(*, config, n, epsilon, p, samples, max_U,
                     t_p_at_m1 = s1.size_T * p
             if s2 is not None and p is not None:
                 t_p_at_m2 = s2.size_T * p
-    lfp = forest_diameter_from_parents(parents, push_order)
     census = component_census(parents, push_order)
     excess_total = None
     if graph is not None:
         excess_total = graph.m - n + census.n_components
     return RunReport(
         config=config, u_at_m1=u_at_m1, q_UT_at_m1=q_ut_at_m1, max_U=max_U,
-        max_U_argmax_m=max_U_argmax_m, longest_forest_path=lfp,
+        max_U_argmax_m=max_U_argmax_m,
+        longest_forest_path=longest_forest_path,
         excess_total=excess_total, giant_size=census.giant_size,
         second_size=census.second_size, T_p_at_m1=t_p_at_m1,
         T_p_at_m2=t_p_at_m2,

@@ -24,6 +24,13 @@ large n are expensive; the default schedule is {0, m1, m2}. q_ST = |S|*|T|
 and q_SU = m - q_ST - q_UT are used as identities here; the reference engine
 is the implementation that checks them against honestly maintained buckets.
 
+The walk also yields the report's longest_forest_path: a vertex's subtree
+is final when it is popped, so the pop closes the two deepest paths down
+into its children and offers the deeper one, one edge longer, to its
+parent. The reference engine computes the same number from the finished
+forest with diagnostics.forest_diameter_from_parents, so the oracle checks
+one against the other.
+
 The loop runs in C (`explore` in _kernel.c, compiled on first use by
 _native) on a copy of the graph laid out component by component, so that
 the walk stays in cache; it falls back to `_explore_python`, the same loop
@@ -145,7 +152,7 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
     explored = None if lib is None else _explore_native(lib, graph, cps)
     if explored is None:
         explored = _explore_python(graph, cps)
-    samples, parents, push_order, push_m, m, max_u, max_u_m = explored
+    samples, parents, push_order, push_m, m, max_u, max_u_m, lfp = explored
 
     cp_i = len(samples)
     while cp_i < len(cps) and cps[cp_i] == m:
@@ -158,7 +165,8 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
     report = assemble_run_report(
         config=config, n=n, epsilon=epsilon, p=p, samples=samples,
         max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
-        parents=parents, push_order=push_order, push_m=push_m, graph=graph)
+        longest_forest_path=lfp, parents=parents, push_order=push_order,
+        push_m=push_m, graph=graph)
     return FastResult(report=report, samples=samples, parents=parents,
                       push_order=push_order, push_m=push_m,
                       unqueried_pairs=pair_count(n) - m)
@@ -190,10 +198,10 @@ def _explore_native(lib, graph, cps):
     push_order = np.empty(n, dtype=np.int64)
     push_m = np.empty(n, dtype=np.int64)
     rows = np.empty((len(reach), 7), dtype=np.int64)
-    info = np.zeros(7, dtype=np.int64)
+    info = np.zeros(8, dtype=np.int64)
     rc = lib.explore(n, indptr, nbrs, len(nbrs), reach, len(reach), parents,
                      push_order, push_m, rows, info)
-    m, max_u, max_u_m, taken, *context = info.tolist()
+    m, max_u, max_u_m, taken, *context, lfp = info.tolist()
     if rc in _KERNEL_VIOLATIONS:
         message, keys = _KERNEL_VIOLATIONS[rc]
         raise InvariantViolation(message, dict(zip(keys, context)))
@@ -202,22 +210,20 @@ def _explore_native(lib, graph, cps):
     if rc == _NO_MEMORY:
         raise MemoryError(f"explore kernel at n = {n}")
     samples = [TrajectorySample(*row) for row in rows[:taken].tolist()]
-    return samples, parents, push_order, push_m, m, max_u, max_u_m
+    return samples, parents, push_order, push_m, m, max_u, max_u_m, lfp
 
 
 def _explore_python(graph, cps):
     """The exploration loop that _kernel.c ports line for line.
 
     Returns (samples, parents, push_order, push_m, m, max_U,
-    max_U_argmax_m), with the samples of every checkpoint passed inside a
-    jump; checkpoints at the final clock are left to the caller.
+    max_U_argmax_m, longest_forest_path), with the samples of every
+    checkpoint passed inside a jump; checkpoints at the final clock are
+    left to the caller.
     """
     n = graph.n
     tindex = TIndex(n)
-    tree = tindex.tree
-    present = tindex.present
-    tn = n
-    code = bytearray(n)          # 0 = T, 1 = U, 2 = S
+    present = tindex.present     # 1 while the label is in T
     indptr = graph.indptr.tolist()
     nbrs = graph.nbrs.tolist()
     cursor = indptr[:n]
@@ -225,6 +231,8 @@ def _explore_python(graph, cps):
     parents = [-1] * n
     push_order = []
     push_m = [-1] * n
+    down1 = [0] * n              # the two deepest paths into completed
+    down2 = [0] * n              # children, in edges
     stack = []
     size_t = n
     size_s = 0
@@ -232,6 +240,7 @@ def _explore_python(graph, cps):
     max_u = 0
     max_u_m = 0
     min_ptr = 0
+    best = 0                     # longest path among completed subtrees
     samples = []
     cp_i = 0
     ncp = len(cps)
@@ -244,12 +253,7 @@ def _explore_python(graph, cps):
             while not present[min_ptr]:
                 min_ptr += 1
             r = min_ptr
-            present[r] = 0
-            i = r + 1
-            while i <= tn:
-                tree[i] -= 1
-                i += i & -i
-            code[r] = 1
+            tindex.delete(r)
             size_t -= 1
             stack.append(r)
             push_order.append(r)
@@ -267,29 +271,18 @@ def _explore_python(graph, cps):
         w = -1
         while cur < end:
             x = nbrs[cur]
-            if code[x] == 0:
+            if present[x]:
                 w = x
                 break
             cur += 1
         cursor[u] = cur
-        if f < 0:
-            base = 0
-        else:
-            i = f + 1
-            base = 0
-            while i > 0:
-                base += tree[i]
-                i -= i & -i
+        base = tindex.count_leq(f)
         if w >= 0:
             if w <= f:
                 raise InvariantViolation(
                     "T-neighbor at or below frontier",
                     {"vertex": u, "frontier": f, "target": w})
-            i = w + 1
-            k = -base
-            while i > 0:
-                k += tree[i]
-                i -= i & -i
+            k = tindex.count_leq(w) - base
         else:
             k = size_t - base
         if k:
@@ -315,12 +308,7 @@ def _explore_python(graph, cps):
         if w >= 0:
             frontier[u] = w
             cursor[u] = cur + 1
-            present[w] = 0
-            i = w + 1
-            while i <= tn:
-                tree[i] -= 1
-                i += i & -i
-            code[w] = 1
+            tindex.delete(w)
             size_t -= 1
             stack.append(w)
             parents[w] = u
@@ -331,13 +319,22 @@ def _explore_python(graph, cps):
                 max_u_m = m
         else:
             stack.pop()
-            code[u] = 2
             size_s += 1
+            if down1[u] + down2[u] > best:
+                best = down1[u] + down2[u]
+            if stack:
+                p = stack[-1]
+                d = down1[u] + 1
+                if d > down1[p]:
+                    down2[p] = down1[p]
+                    down1[p] = d
+                elif d > down2[p]:
+                    down2[p] = d
         fsum = None
 
     return (samples, np.array(parents, dtype=np.int64),
             np.array(push_order, dtype=np.int64),
-            np.array(push_m, dtype=np.int64), m, max_u, max_u_m)
+            np.array(push_m, dtype=np.int64), m, max_u, max_u_m, best)
 
 
 def _frontier_sum(tindex, stack, frontier):

@@ -19,7 +19,8 @@ machines and sessions:
   successes. Each gap consumes one u64 and is k = floor(log1p(-u)/log1p(-p)),
   which yields P(k = j) = (1-p)^j * p. Edge cases are pinned: u = 0 maps to
   k = 0, p >= 1 maps to k = 0 without consuming a u64, p = 0 is an infinite
-  gap. Because both bit-by-bit and skip consumption read the same pending
+  gap, and so is a quotient that overflows to infinity (p below about
+  2e-307). Because both bit-by-bit and skip consumption read the same pending
   gap, the two access patterns agree on success positions by construction.
 
 The gap loop runs in C when the native kernel loads (`gap_draw` in
@@ -113,7 +114,10 @@ class BitStream:
             return math.inf
         u = (self._rng.next_u64() >> 11) * _INV53
         # u = 0 gives log1p(0)/log1mp = -0.0 / negative = 0.0, so k = 0.
-        return int(math.log1p(-u) / self._log1mp)
+        # Below p ~ 2e-307 the quotient can be infinite: a gap that never
+        # ends, as at p = 0.
+        q = math.log1p(-u) / self._log1mp
+        return q if q == math.inf else int(q)
 
     def next_bit(self):
         """Return the next bit (0 or 1); advances the cursor by one."""
@@ -133,17 +137,18 @@ class BitStream:
         Returns k, the number of 0 bits consumed before the success
         (cursor advances by k + 1), or None if `limit` zeros were consumed
         without a success (cursor advances by exactly `limit`). `limit=None`
-        means unbounded, which is rejected for p = 0 since it would never
+        means unbounded, which is rejected when the pending gap is infinite
+        (p = 0, or p so small that the gap overflows) since it would never
         terminate.
         """
-        if limit is None:
-            if self.p == 0.0:
-                raise ConfigError("unbounded skip on a p = 0 stream never terminates")
-        elif limit < 0:
+        if limit is not None and limit < 0:
             raise ConfigError(f"limit must be >= 0, got {limit!r}")
         pending = self._pending
         if pending is None:
-            pending = self._draw_gap()
+            pending = self._pending = self._draw_gap()
+        if limit is None and pending == math.inf:
+            raise ConfigError("unbounded skip past an infinite gap never "
+                              "terminates")
         if limit is None or pending < limit:
             self.cursor += pending + 1
             self._pending = None

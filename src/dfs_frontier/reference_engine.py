@@ -43,7 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import (TrajectorySample, atomic_write_text,
-                          assemble_run_report, default_checkpoints)
+                          assemble_run_report, default_checkpoints,
+                          forest_diameter_from_parents)
 from .errors import ConfigError, InvariantViolation
 from .randomness import Graph, pair_count
 
@@ -314,6 +315,7 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
     report = assemble_run_report(
         config=config, n=n, epsilon=epsilon, p=p, samples=samples,
         max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
+        longest_forest_path=forest_diameter_from_parents(parents, push_order),
         parents=parents, push_order=push_order, push_m=push_m, graph=graph)
     return ReferenceResult(
         report=report, samples=samples, event_log=events, parents=parents,

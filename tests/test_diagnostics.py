@@ -252,6 +252,10 @@ class TestLongestForestPath:
     def test_two_components(self):
         assert diameter([-1, 0, 1, -1, 3]) == 2
 
+    def test_out_of_range_label_raises(self):
+        with pytest.raises(IndexError):
+            forest_diameter_from_parents([-1, 0], [0, 5])
+
     def test_random_trees_match_naive(self):
         rng = random.Random(2024)
         for trial in range(30):
@@ -264,7 +268,7 @@ class TestLongestForestPath:
     def test_parent_array_variant_agrees(self):
         # Engine forests: parents need not precede children by label, only
         # in push order. Random forests of random graphs against the naive
-        # eccentricity scan.
+        # eccentricity scan, for the DP and for the fast engine's walk.
         rng = random.Random(7)
         for trial in range(20):
             n = rng.randint(1, 40)
@@ -272,8 +276,10 @@ class TestLongestForestPath:
                                              trial), [0])
             edges = [(res.parents[v], v) for v in range(n)
                      if res.parents[v] >= 0]
+            want = naive_tree_diameter(n, edges)
             assert (forest_diameter_from_parents(res.parents, res.push_order)
-                    == naive_tree_diameter(n, edges))
+                    == want)
+            assert res.report.longest_forest_path == want
 
 
 class TestReports:

@@ -1,6 +1,7 @@
 """The native kernel against the Python loops it ports: the exploration loop
 on every small graph and the random-trial graphs, the gap draw on a grid of
-(n, p, seed), the forest diameter, and whole runs without a compiler."""
+(n, p, seed), the walk's forest diameter against the DP, and whole runs
+without a compiler."""
 
 import math
 import os
@@ -11,8 +12,7 @@ import numpy as np
 import pytest
 
 from dfs_frontier import _native, cli
-from dfs_frontier.diagnostics import (_forest_diameter_python,
-                                      forest_diameter_from_parents)
+from dfs_frontier.diagnostics import forest_diameter_from_parents
 from dfs_frontier.fast_engine import checkpoint_schedule, run_fast
 from dfs_frontier.oracle import RANDOM_DENSITY_LADDER, SmallGraphEnumeration
 from dfs_frontier.randomness import (Graph, Xoshiro256StarStar,
@@ -141,53 +141,20 @@ def test_gap_draw_resumes_across_full_buffers(lib):
                           _gap_indices_python(p, seed, total))
 
 
-def test_forest_diameter_matches_python_loop(lib):
+def test_forest_diameter_matches_python_loop(lib, python_loops):
+    # Both paths read longest_forest_path off the walk; the DP over the
+    # finished forest checks it, here past the reference engine's size cap.
     rng = np.random.default_rng(5)
-    for n in (1, 2, 17, 300):
-        for trial in range(10):
+    for n in (1, 2, 17, 300, 20_000):
+        for trial in range(4 if n > 300 else 10):
             p = min(rng.uniform(0.5, 3) / n, 1.0)
             graph = materialize_graph(n, p, trial)
-            res = run_fast(graph, [0])
-            assert (forest_diameter_from_parents(res.parents, res.push_order)
-                    == _forest_diameter_python(res.parents.tolist(),
-                                               res.push_order.tolist()))
-
-
-def preorder(parents):
-    children = [[] for _ in parents]
-    for v, p in enumerate(parents):
-        if p >= 0:
-            children[p].append(v)
-    order = []
-    for root in (v for v, p in enumerate(parents) if p < 0):
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(children[v]))
-    return order
-
-
-def test_forest_diameter_in_any_parents_first_order(lib):
-    # The engines push in DFS preorder, which the kernel reads in one
-    # forward pass; any other parents-before-children order, such as
-    # ascending labels here, runs the Python DP instead.
-    rng = np.random.default_rng(8)
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        parents = [-1 if v == 0 or rng.random() < 0.2
-                   else int(rng.integers(0, v)) for v in range(n)]
-        for order in (list(range(n)), preorder(parents)):
-            assert (forest_diameter_from_parents(parents, order)
-                    == _forest_diameter_python(parents, order)), (parents,
-                                                                 order)
-
-
-def test_forest_diameter_out_of_range_runs_python(lib):
-    # The kernel refuses a label past the end; the Python loop then raises
-    # as it always did.
-    with pytest.raises(IndexError):
-        forest_diameter_from_parents([-1, 0], [0, 5])
+            for res in (run_fast(graph, [0]),
+                        python_loops(run_fast, graph, [0])):
+                assert (res.report.longest_forest_path
+                        == forest_diameter_from_parents(
+                            res.parents.tolist(), res.push_order.tolist())
+                        ), (n, p, trial)
 
 
 def test_unwritable_cache_falls_back(monkeypatch, tmp_path, capsys):

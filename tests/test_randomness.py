@@ -13,6 +13,7 @@ from dfs_frontier.randomness import (BitStream, FixedBits, Graph,
                                      pair_from_index, pair_index,
                                      read_graph_file, splitmix64,
                                      write_graph_file)
+from dfs_frontier.reference_engine import run_reference
 
 # Vectors frozen from an independent C build of the public-domain splitmix64
 # and xoshiro256** reference code (Blackman & Vigna), printed with %016llX
@@ -168,6 +169,18 @@ class TestBitStream:
         assert s.cursor == 150
         with pytest.raises(ConfigError):
             s.skip_to_next_success()
+
+    def test_tiny_p_gap_is_infinite(self):
+        # Below p ~ 2e-307 the gap quotient overflows to infinity: the
+        # stream behaves as at p = 0 instead of raising OverflowError.
+        s = BitStream(1, 1e-310)
+        assert s.next_bit() == 0
+        assert s.skip_to_next_success(limit=50) is None
+        with pytest.raises(ConfigError):
+            s.skip_to_next_success()
+        res = run_reference(10, BitStream(1, 1e-310))
+        assert res.report.dfs_query_total == 45
+        assert res.report.giant_size == 1
 
     def test_cursor_counts_both_patterns(self):
         s = BitStream(5, 0.4)
