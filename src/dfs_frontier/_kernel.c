@@ -3,7 +3,8 @@
  *
  * Each function does the work of Python code that stays in the package as
  * the readable specification and as the fallback when no C compiler is
- * present: randomness._gap_indices_python and fast_engine._explore_python.
+ * present: BitStream.skip_to_next_success, as randomness._gap_indices
+ * drives it, and fast_engine._explore_python.
  * The outputs are identical bit for bit. The gap draw relies on that: it
  * must be compiled without -ffast-math and without FP contraction (-std=c99
  * turns contraction off), so that u, log1p(-u) and the quotient round
@@ -48,7 +49,8 @@ int64_t gap_draw(uint64_t *s, double log1mp, int64_t *idx, int64_t total,
         s[3] = rotl(s[3], 45);
         double u = (double)(x >> 11) * 0x1.0p-53;
         double q = log1p(-u) / log1mp;
-        /* Python: idx += int(q) + 1; stop once idx >= total. */
+        /* As BitStream: the gap int(q) ends a success at i + int(q) + 1,
+         * unless that is >= total. */
         if (q >= 0x1.0p63 || (int64_t)q >= total - i - 1) {
             i = total;
             break;
@@ -142,7 +144,8 @@ typedef struct {
  * final when it is popped, so the pop closes its two deepest child paths
  * and hands the deeper one, one edge longer, to its parent. Returns an
  * EXPLORE_* code; BAD_ADJACENCY means the CSR arrays are malformed (or too
- * large for 32-bit slots) and nothing is valid. */
+ * large for 32-bit slots) and nothing is valid. The caller has checked the
+ * CSR already; these checks keep a bad array from reaching memory. */
 int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
             int64_t nnz, const int64_t *cps, int64_t ncp, int64_t *parents,
             int64_t *push_order, int64_t *push_m, int64_t *samples,

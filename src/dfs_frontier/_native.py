@@ -2,22 +2,25 @@
 
 `kernel()` returns the loaded library, or None when it cannot be had: no C
 compiler, a failed compile, or a package directory whose __pycache__ is not
-writable. Callers then run their Python loops, which compute the same bits;
-this module says so once per process on stderr. Nothing here runs at import
-of the package: the first call compiles (well under a second) or loads the
-cached build.
+writable. That answer alone chooses between a kernel and its Python loop,
+which computes the same bits; this module says so once per process on
+stderr. Nothing here runs at import of the package: the first call compiles
+(well under a second) or loads the cached build.
 
 The build is cached as __pycache__/_kernel-<hash><EXT_SUFFIX> next to this
 file, where the hash covers the source and the full compiler command. It is
 written to a temporary file in the same directory and moved into place, so
 processes that build at the same time (sweep workers) never see a partial
-library. The cache is kept even under PYTHONDONTWRITEBYTECODE: it is a build
-product, not bytecode, and skipping it would recompile in every process.
+library; then the builds of other hashes there are deleted. The cache is
+kept even under PYTHONDONTWRITEBYTECODE: it is a build product, not
+bytecode, and skipping it would recompile in every process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import glob
 import hashlib
 import os
 import shlex
@@ -86,6 +89,12 @@ def _build():
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # Builds of earlier sources or compiler commands are never loaded again.
+    pattern = os.path.join(glob.escape(CACHE_DIR), f"_kernel-*{suffix}")
+    for old in glob.glob(pattern):
+        if old != target:
+            with contextlib.suppress(OSError):   # housekeeping only
+                os.unlink(old)
     return target
 
 

@@ -33,10 +33,11 @@ one against the other.
 
 The loop runs in C (`explore` in _kernel.c, compiled on first use by
 _native) on a copy of the graph laid out component by component, so that
-the walk stays in cache; it falls back to `_explore_python`, the same loop
-in Python, when no compiler is available. Both return the forest as int64
-arrays and raise the same InvariantViolation on the same input; the tests
-compare them on every small graph.
+the walk stays in cache. `_explore_python`, the same loop in Python, runs
+instead only when the kernel does not load (no C compiler), never for a
+particular graph. Both return the forest as int64 arrays and raise the
+same InvariantViolation on the same input; the tests compare them on every
+small graph.
 """
 
 from __future__ import annotations
@@ -149,9 +150,8 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
 
     from . import _native
     lib = _native.kernel()
-    explored = None if lib is None else _explore_native(lib, graph, cps)
-    if explored is None:
-        explored = _explore_python(graph, cps)
+    explored = (_explore_python(graph, cps) if lib is None
+                else _explore_native(lib, graph, cps))
     samples, parents, push_order, push_m, m, max_u, max_u_m, lfp = explored
 
     cp_i = len(samples)
@@ -184,14 +184,8 @@ _NO_MEMORY = 5
 
 
 def _explore_native(lib, graph, cps):
-    """The exploration loop in C; None when the CSR arrays are malformed or
-    too large for the kernel's 32-bit slots, so that the Python loop runs
-    and fails, or succeeds, the way it always did."""
+    """The exploration loop in C, on the graph's checked int64 CSR."""
     n = graph.n
-    indptr = np.ascontiguousarray(graph.indptr, dtype=np.int64)
-    nbrs = np.ascontiguousarray(graph.nbrs, dtype=np.int64)
-    if indptr.shape != (n + 1,) or nbrs.ndim != 1:
-        return None
     # m never exceeds C(n, 2): later checkpoints are never reached.
     reach = np.array(cps[:bisect_right(cps, pair_count(n))], dtype=np.int64)
     parents = np.empty(n, dtype=np.int64)
@@ -199,14 +193,15 @@ def _explore_native(lib, graph, cps):
     push_m = np.empty(n, dtype=np.int64)
     rows = np.empty((len(reach), 7), dtype=np.int64)
     info = np.zeros(8, dtype=np.int64)
-    rc = lib.explore(n, indptr, nbrs, len(nbrs), reach, len(reach), parents,
-                     push_order, push_m, rows, info)
+    rc = lib.explore(n, graph.indptr, graph.nbrs, len(graph.nbrs), reach,
+                     len(reach), parents, push_order, push_m, rows, info)
     m, max_u, max_u_m, taken, *context, lfp = info.tolist()
     if rc in _KERNEL_VIOLATIONS:
         message, keys = _KERNEL_VIOLATIONS[rc]
         raise InvariantViolation(message, dict(zip(keys, context)))
     if rc == _BAD_ADJACENCY:
-        return None
+        raise ConfigError(f"explore kernel rejects the CSR at n = {n}: past "
+                          "32-bit slots, or changed since Graph checked it")
     if rc == _NO_MEMORY:
         raise MemoryError(f"explore kernel at n = {n}")
     samples = [TrajectorySample(*row) for row in rows[:taken].tolist()]

@@ -17,11 +17,11 @@ CSVs, a diff) for offline inspection.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .diagnostics import METRIC_FIELDS, atomic_write_text, write_trajectory_csv
+from .diagnostics import RunReport, atomic_write_text, write_trajectory_csv
 from .errors import ConfigError
 from .fast_engine import checkpoint_schedule, run_fast
 from .randomness import Graph, materialize_graph, write_graph_file
@@ -160,16 +160,13 @@ def compare_runs(graph, ref_result, fast_result):
     Returns a list of human-readable mismatch lines, empty when equivalent.
     """
     lines = []
-    for name in METRIC_FIELDS:
-        a = getattr(ref_result.report, name)
-        b = getattr(fast_result.report, name)
+    for field in fields(RunReport):
+        if field.name == "config":
+            continue
+        a = getattr(ref_result.report, field.name)
+        b = getattr(fast_result.report, field.name)
         if a != b:
-            lines.append(f"report.{name}: reference={a!r} fast={b!r}")
-    if ref_result.report.max_U_argmax_m != fast_result.report.max_U_argmax_m:
-        lines.append(
-            f"report.max_U_argmax_m: reference="
-            f"{ref_result.report.max_U_argmax_m!r} "
-            f"fast={fast_result.report.max_U_argmax_m!r}")
+            lines.append(f"report.{field.name}: reference={a!r} fast={b!r}")
     for name in ("parents", "push_order", "push_m"):
         a = getattr(ref_result, name)
         b = getattr(fast_result, name)
@@ -291,6 +288,5 @@ def ledger_recompute(n, event_log, m):
             # else means the log is corrupt.
             raise ConfigError(f"unknown event kind {kind!r}")
     state = DfsState(completed=frozenset(completed), stack=tuple(stack),
-                     undiscovered=tuple(sorted(undiscovered)), m=m,
-                     queried={})
+                     undiscovered=tuple(sorted(undiscovered)), m=m)
     return ledger_at(state, pairs)

@@ -25,8 +25,9 @@ machines and sessions:
 
 The gap loop runs in C when the native kernel loads (`gap_draw` in
 _kernel.c, compiled without FP contraction or fast-math so that every step
-rounds as in Python) and in Python otherwise; the tests require the two to
-agree bit for bit.
+rounds as in Python); otherwise materialization drives BitStream's bounded
+skips. The tests require the two to agree bit for bit. A graph is held as
+its CSR adjacency alone (`Graph`), checked once when it is built.
 
 The floor of a libm quotient is stable for a given libm; a 1-ulp difference
 in log1p across platforms could in principle move one gap boundary with
@@ -210,49 +211,58 @@ def pair_from_index(n, idx):
 
 
 class Graph:
-    """An undirected simple graph in canonical form.
-
-    Edges are stored lexicographically sorted with u < v; adjacency is CSR
-    (indptr/nbrs) with every neighbor list sorted ascending. Canonical form
-    is what makes replay deterministic, so constructors validate it.
+    """An undirected simple graph held as its CSR adjacency alone: row v,
+    nbrs[indptr[v]:indptr[v + 1]], lists v's neighbours ascending, so m is
+    half the entries. The constructor casts both arrays to contiguous int64
+    and raises ValueError on a bad shape, offset or label, so consumers may
+    index with them; row order is left to the exploration walk's guards.
     """
 
-    def __init__(self, n, edge_u, edge_v, indptr, nbrs):
+    def __init__(self, n, indptr, nbrs):
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        nbrs = np.ascontiguousarray(nbrs, dtype=np.int64)
+        if n < 0 or indptr.shape != (n + 1,) or nbrs.ndim != 1:
+            raise ValueError(f"CSR arrays of shapes {indptr.shape} and "
+                             f"{nbrs.shape} do not describe {n} vertices")
+        if (indptr[0] != 0 or indptr[-1] != len(nbrs)
+                or (np.diff(indptr) < 0).any()):
+            raise ValueError("indptr must rise from 0 to len(nbrs)")
+        if len(nbrs) and (nbrs.min() < 0 or nbrs.max() >= n):
+            raise ValueError(f"neighbour label outside [0, {n})")
         self.n = n
-        self.m = len(edge_u)
-        self.edge_u = edge_u
-        self.edge_v = edge_v
+        self.m = len(nbrs) // 2
         self.indptr = indptr
         self.nbrs = nbrs
 
     @classmethod
-    def from_edge_arrays(cls, n, edge_u, edge_v, validate=True):
-        """Build from parallel arrays of endpoints, u < v, lex-sorted."""
+    def from_edge_arrays(cls, n, eu, ev, validate=True):
+        """Build from parallel arrays of endpoints, u < v, lex-sorted. The
+        graph keeps only the CSR built from them."""
         if n < 0:
             raise ConfigError(f"n must be >= 0, got {n}")
-        edge_u = np.asarray(edge_u, dtype=np.int64)
-        edge_v = np.asarray(edge_v, dtype=np.int64)
+        eu = np.asarray(eu, dtype=np.int64)
+        ev = np.asarray(ev, dtype=np.int64)
         if validate:
-            if edge_u.shape != edge_v.shape:
+            if eu.shape != ev.shape:
                 raise ValueError("endpoint arrays differ in length")
-            if len(edge_u):
-                if edge_u.min() < 0 or edge_v.max() >= n:
+            if len(eu):
+                if eu.min() < 0 or ev.max() >= n:
                     raise ValueError("vertex id out of range")
-                if not (edge_u < edge_v).all():
+                if not (eu < ev).all():
                     raise ValueError("edges must satisfy u < v")
-                key = edge_u * n + edge_v
+                key = eu * n + ev
                 if not (np.diff(key) > 0).all():
                     raise ValueError("edges must be lex-sorted and unique")
         # Row x lists the u < x of edges (u, x), then the v > x of edges
         # (x, v), each ascending because the edges are lex-sorted; a stable
         # sort by row keeps that order.
-        src = np.concatenate([edge_v, edge_u])
-        dst = np.concatenate([edge_u, edge_v])
+        src = np.concatenate([ev, eu])
+        dst = np.concatenate([eu, ev])
         nbrs = dst[np.argsort(src, kind="stable")]
         counts = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(n, edge_u, edge_v, indptr, nbrs)
+        return cls(n, indptr, nbrs)
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -273,11 +283,13 @@ class Graph:
     def neighbors(self, v):
         return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v):
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def edges(self):
-        return list(zip(self.edge_u.tolist(), self.edge_v.tolist()))
+        """The edges as (u, v) pairs, u < v, lex-sorted: the entries of each
+        row above its vertex."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64),
+                         np.diff(self.indptr))
+        upper = self.nbrs > rows
+        return list(zip(rows[upper].tolist(), self.nbrs[upper].tolist()))
 
     def has_edge(self, u, v):
         if u > v:
@@ -288,8 +300,8 @@ class Graph:
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
-                and np.array_equal(self.edge_u, other.edge_u)
-                and np.array_equal(self.edge_v, other.edge_v))
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.nbrs, other.nbrs))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -313,18 +325,22 @@ def materialize_graph(n, p, seed):
         idxs = np.arange(total, dtype=np.int64)
     else:
         idxs = _gap_indices(p, seed, total)
-    edge_u, edge_v = _pairs_from_indices(n, idxs)
-    return Graph.from_edge_arrays(n, edge_u, edge_v, validate=False)
+    return Graph.from_edge_arrays(n, *_pairs_from_indices(n, idxs),
+                                  validate=False)
 
 
 def _gap_indices(p, seed, total):
     """Success positions of BitStream(seed, p) over the pair indices
-    [0, total), 0 < p < 1, as an int64 array; the native kernel when it
-    loads, else the Python loop."""
+    [0, total), 0 < p < 1, as an int64 array: drawn by the native kernel
+    when it loads, else by bounded skips of the stream itself."""
     from . import _native
     lib = _native.kernel()
     if lib is None:
-        return _gap_indices_python(p, seed, total)
+        stream = BitStream(seed, p)
+        out = []
+        while stream.skip_to_next_success(total - stream.cursor) is not None:
+            out.append(stream.cursor - 1)
+        return np.array(out, dtype=np.int64)
     rng = Xoshiro256StarStar(seed)
     state = np.array([rng._s0, rng._s1, rng._s2, rng._s3], dtype=np.uint64)
     last = np.array([-1], dtype=np.int64)
@@ -336,26 +352,6 @@ def _gap_indices(p, seed, total):
         got = lib.gap_draw(state, math.log1p(-p), last, total, buf, cap)
         chunks.append(buf[:got])
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
-def _gap_indices_python(p, seed, total):
-    # One u64 per gap; equivalent to repeated
-    # BitStream.skip_to_next_success, which the tests assert. The gap q is
-    # compared before int(): below p ~ 2e-307 it can be infinite.
-    next_u64 = Xoshiro256StarStar(seed).next_u64
-    log1p = math.log1p
-    log1mp = log1p(-p)
-    out = []
-    append = out.append
-    idx = -1
-    while True:
-        u = (next_u64() >> 11) * _INV53
-        q = log1p(-u) / log1mp
-        if q >= total - idx - 1:
-            break
-        idx += int(q) + 1
-        append(idx)
-    return np.array(out, dtype=np.int64)
 
 
 def _pairs_from_indices(n, idxs):
@@ -390,7 +386,7 @@ def write_graph_file(graph, path):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(f"{graph.n} {graph.m}\n")
-            for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist()):
+            for u, v in graph.edges():
                 f.write(f"{u} {v}\n")
         os.replace(tmp, path)
     except BaseException:

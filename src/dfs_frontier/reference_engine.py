@@ -65,7 +65,6 @@ class DfsState:
     stack: tuple
     undiscovered: tuple
     m: int
-    queried: dict  # vertex -> frozenset of queried candidates
 
 
 @dataclass
@@ -143,10 +142,9 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
     if graph_mode:
         if oracle.n != n:
             raise ConfigError(f"oracle graph has n={oracle.n}, run has n={n}")
-        nbr_sets = [set() for _ in range(n)]
-        for a, b in zip(oracle.edge_u.tolist(), oracle.edge_v.tolist()):
-            nbr_sets[a].add(b)
-            nbr_sets[b].add(a)
+        indptr = oracle.indptr.tolist()
+        nbrs = oracle.nbrs.tolist()
+        nbr_sets = [set(nbrs[indptr[v]:indptr[v + 1]]) for v in range(n)]
         if realize:
             raise ConfigError("realize=True needs a stream oracle")
     if checkpoints is None:
@@ -346,11 +344,3 @@ def _realize_graph(n, parents, queried, stream):
             if stream.next_bit():
                 edges.append((u, v))
     return Graph.from_edges(n, edges)
-
-
-def snapshot_state(*, completed, stack, undiscovered, m, queried=None):
-    """Convenience constructor for DfsState in tests and spot checks."""
-    return DfsState(completed=frozenset(completed), stack=tuple(stack),
-                    undiscovered=tuple(sorted(undiscovered)), m=m,
-                    queried={k: frozenset(v)
-                             for k, v in (queried or {}).items()})

@@ -6,7 +6,7 @@ components, so the two derivations can be compared.
 """
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
@@ -18,8 +18,8 @@ def scipy_census(graph, push_m):
     the giant's vertices.
     """
     n = graph.n
-    mat = coo_matrix((np.ones(graph.m, dtype=np.int8),
-                      (graph.edge_u, graph.edge_v)), shape=(n, n))
+    mat = csr_matrix((np.ones(len(graph.nbrs), dtype=np.int8), graph.nbrs,
+                      graph.indptr), shape=(n, n))
     ncomp, labels = connected_components(mat, directed=False)
     sizes = np.bincount(labels, minlength=ncomp)
     first_label = np.full(ncomp, n, dtype=np.int64)

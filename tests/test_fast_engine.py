@@ -153,8 +153,7 @@ class TestSmallTraces:
     def test_unsorted_adjacency_raises(self):
         # Row 0 is [2, 1]: without the guard the run silently returns the
         # wrong forest [-1, 0, 0].
-        g = Graph(3, np.array([0, 0]), np.array([1, 2]),
-                  np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
+        g = Graph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
         with pytest.raises(InvariantViolation, match="at or below frontier"):
             run_fast(g)
 

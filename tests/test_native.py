@@ -7,17 +7,19 @@ import math
 import os
 import subprocess
 import sys
+import sysconfig
 
 import numpy as np
 import pytest
 
 from dfs_frontier import _native, cli
 from dfs_frontier.diagnostics import forest_diameter_from_parents
+from dfs_frontier.errors import ConfigError
 from dfs_frontier.fast_engine import checkpoint_schedule, run_fast
 from dfs_frontier.oracle import RANDOM_DENSITY_LADDER, SmallGraphEnumeration
 from dfs_frontier.randomness import (Graph, Xoshiro256StarStar,
-                                     _gap_indices, _gap_indices_python,
-                                     materialize_graph, pair_count)
+                                     _gap_indices, materialize_graph,
+                                     pair_count)
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
@@ -28,16 +30,6 @@ def lib():
     if lib is None:
         pytest.skip("native kernel unavailable (no C compiler)")
     return lib
-
-
-@pytest.fixture
-def python_loops(monkeypatch):
-    """Run the package on its Python loops for the duration of a test."""
-    def run(fn, *args, **kwargs):
-        with monkeypatch.context() as m:
-            m.setattr(_native, "kernel", lambda: None)
-            return fn(*args, **kwargs)
-    return run
 
 
 def assert_same_run(graph, python_loops):
@@ -90,14 +82,22 @@ def test_explore_one_directional_rows(lib, python_loops):
                        - {v}) for v in range(n)]
         indptr = np.cumsum([0] + [len(r) for r in rows])
         nbrs = np.array([x for r in rows for x in r], dtype=np.int64)
-        none = np.zeros(0, dtype=np.int64)
-        graph = Graph(n, none, none, indptr, nbrs)
+        graph = Graph(n, indptr, nbrs)
         native = run_fast(graph, [0])
         python = python_loops(run_fast, graph, [0])
         for name in ("parents", "push_order", "push_m"):
             assert np.array_equal(getattr(native, name),
                                   getattr(python, name)), (name, rows)
         assert native.report == python.report, rows
+
+
+def test_explore_rejects_csr_changed_after_checks(lib):
+    # Graph checked its CSR; a label written into it later is caught by the
+    # kernel's own range check and raised, not run again on Python.
+    graph = Graph.from_edges(3, [(0, 1)])
+    graph.nbrs[0] = 5
+    with pytest.raises(ConfigError, match="rejects the CSR"):
+        run_fast(graph, [0])
 
 
 GAP_GRID_N = (0, 1, 2, 200, 5000)
@@ -119,12 +119,12 @@ def test_gap_draw_matches_python_loop(lib, python_loops):
                 assert native == python, (n, p, seed)
                 if total:
                     got = _gap_indices(p, seed, total)
-                    want = _gap_indices_python(p, seed, total)
+                    want = python_loops(_gap_indices, p, seed, total)
                     assert got.dtype == np.int64
                     assert np.array_equal(got, want), (n, p, seed)
 
 
-def test_gap_draw_resumes_across_full_buffers(lib):
+def test_gap_draw_resumes_across_full_buffers(lib, python_loops):
     # A buffer of 7 fills again and again; the state and position carried
     # between calls continue the one stream.
     total, p, seed = pair_count(200), 0.05, 4242
@@ -138,7 +138,7 @@ def test_gap_draw_resumes_across_full_buffers(lib):
                                         buf, 7)])
     assert len(chunks) > 10
     assert np.array_equal(np.concatenate(chunks),
-                          _gap_indices_python(p, seed, total))
+                          python_loops(_gap_indices, p, seed, total))
 
 
 def test_forest_diameter_matches_python_loop(lib, python_loops):
@@ -172,6 +172,19 @@ def test_unwritable_cache_falls_back(monkeypatch, tmp_path, capsys):
     assert _native.kernel() is None
     monkeypatch.undo()
     assert run_fast(graph, epsilon=0.3, p=1.3 / 300, seed=5).report == report
+
+
+def test_build_removes_stale_builds(lib, monkeypatch, tmp_path):
+    # A build of an earlier source is deleted once the new one is in place.
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    stale = tmp_path / f"_kernel-0000000000000000{suffix}"
+    stale.write_bytes(b"")
+    monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(_native, "_lib", _native._UNSET)
+    assert _native.kernel() is not None
+    assert not stale.exists()
+    assert [p.name for p in tmp_path.iterdir()] == [
+        os.path.basename(_native._build())]
 
 
 def run_cli(out_dir, path):

