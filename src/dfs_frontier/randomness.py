@@ -225,7 +225,7 @@ class Graph:
             raise ValueError(f"CSR arrays of shapes {indptr.shape} and "
                              f"{nbrs.shape} do not describe {n} vertices")
         if (indptr[0] != 0 or indptr[-1] != len(nbrs)
-                or (np.diff(indptr) < 0).any()):
+                or (indptr[1:] < indptr[:-1]).any()):
             raise ValueError("indptr must rise from 0 to len(nbrs)")
         if len(nbrs) and (nbrs.min() < 0 or nbrs.max() >= n):
             raise ValueError(f"neighbour label outside [0, {n})")
