@@ -119,6 +119,21 @@ class TestEquivalenceSweep:
         fast = run_fast(g, [0, 1, 2])
         assert compare_runs(g, ref, fast) == []
 
+    def test_compare_runs_names_every_report_field(self):
+        # Each report field but config is compared, one line per field.
+        from dataclasses import fields, replace
+        from dfs_frontier.fast_engine import run_fast
+        g = Graph.from_edges(4, [(0, 1), (1, 2)])
+        ref = run_reference(4, g, [0, 1, 2], record_events=False)
+        fast = run_fast(g, [0, 1, 2])
+        for field in fields(fast.report):
+            name = field.name
+            broken = replace(fast, report=replace(fast.report, **{name: -7}))
+            want = [] if name == "config" else [
+                f"report.{name}: reference={getattr(ref.report, name)!r} "
+                "fast=-7"]
+            assert compare_runs(g, ref, broken) == want, name
+
     def test_injected_fault_is_caught_and_bundled(self, tmp_path,
                                                   monkeypatch):
         # Corrupt the fast engine's reported peak for every graph with an
