@@ -1,10 +1,12 @@
-/* Native kernels of dfs_frontier: the geometric gap draw and the fast
- * engine's exploration loop, which also yields the DFS forest's diameter.
+/* Native kernels of dfs_frontier: the geometric gap draw, the CSR build of
+ * a materialized graph, and the fast engine's exploration loop, which also
+ * yields the DFS forest's diameter.
  *
  * Each function does the work of Python code that stays in the package as
  * the readable specification and as the fallback when no C compiler is
  * present: BitStream.skip_to_next_success, as randomness._gap_indices
- * drives it, and fast_engine._explore_python.
+ * drives it, the stable sort in randomness._csr_numpy, and
+ * fast_engine._explore_python.
  * The outputs are identical bit for bit. The gap draw relies on that: it
  * must be compiled without -ffast-math and without FP contraction (-std=c99
  * turns contraction off), so that u, log1p(-u) and the quotient round
@@ -60,6 +62,43 @@ int64_t gap_draw(uint64_t *s, double log1mp, int64_t *idx, int64_t total,
     }
     *idx = i;
     return k;
+}
+
+/* The CSR adjacency of the graph with the ne edges (eu[i], ev[i]): row x of
+ * nbrs, [indptr[x], indptr[x + 1]), lists the eu[i] of the edges with
+ * ev[i] == x, then the ev[i] of the edges with eu[i] == x, each in edge
+ * order. For lex-sorted edges with u < v that is the row ascending, and no
+ * sort is needed: the degrees give the row starts, and two passes over the
+ * edges place the lower, then the upper neighbours. indptr holds n + 1
+ * entries and nbrs 2 ne. Returns 0, or 1 when an endpoint lies outside
+ * [0, n); the counting pass checks each one before it is used as an index,
+ * so nothing is written to nbrs then and indptr is left undefined. */
+int csr_build(int64_t n, const int64_t *eu, const int64_t *ev, int64_t ne,
+              int64_t *indptr, int64_t *nbrs)
+{
+    for (int64_t x = 0; x <= n; x++)
+        indptr[x] = 0;
+    for (int64_t i = 0; i < ne; i++) {
+        if (eu[i] < 0 || eu[i] >= n || ev[i] < 0 || ev[i] >= n)
+            return 1;
+        indptr[eu[i]]++;
+        indptr[ev[i]]++;
+    }
+    for (int64_t x = 0, start = 0; x <= n; x++) {
+        int64_t deg = indptr[x];
+        indptr[x] = start;
+        start += deg;
+    }
+    /* indptr[x] is row x's cursor: its next free entry. */
+    for (int64_t i = 0; i < ne; i++)
+        nbrs[indptr[ev[i]]++] = eu[i];
+    for (int64_t i = 0; i < ne; i++)
+        nbrs[indptr[eu[i]]++] = ev[i];
+    /* Each cursor now stands at its row's end, the next row's start. */
+    for (int64_t x = n; x > 0; x--)
+        indptr[x] = indptr[x - 1];
+    indptr[0] = 0;
+    return 0;
 }
 
 enum { EXPLORE_OK, BELOW_FRONTIER, EMPTY_JUMP, NEGATIVE_QSU, BAD_ADJACENCY,
@@ -131,8 +170,8 @@ typedef struct {
  * components follow each other in the order of their smallest labels, the
  * order the walk visits them in. Adjacency rows hold slots and labels are
  * looked up per slot, so the walk reads memory close to what it read last,
- * where in label order nearly every step was a cache miss. Per-vertex
- * results are written in push order and scattered to labels at the end.
+ * where in label order nearly every step was a cache miss. A vertex's
+ * parent and push moment are written under its label when it is pushed.
  * The layout decides nothing: roots, scan order and counts all go by label,
  * so any slot assignment gives the same result.
  *
@@ -157,29 +196,26 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
      * whole from one run to the next instead of handing fresh pages (a
      * fault per 4 KiB) to some of the runs. */
     size_t nn = (size_t)n, nw = (nn + 63) >> 6;
-    char *block = malloc(nn * (sizeof(frame) + sizeof(int64_t))
-                         + nw * sizeof(uint64_t)
-                         + (nw + 4 * nn + (size_t)nnz + 3) * sizeof(int32_t));
+    char *block = malloc(nn * sizeof(frame) + nw * sizeof(uint64_t)
+                         + (nw + 3 * nn + (size_t)nnz + 2) * sizeof(int32_t));
     if (!block)
         return NO_MEMORY;
     frame *stack = (frame *)block;
-    int64_t *push_m_seq = (int64_t *)(stack + nn);
-    tset t = {(uint64_t *)(push_m_seq + nn), NULL, (int64_t)nw};
+    tset t = {(uint64_t *)(stack + nn), NULL, (int64_t)nw};
     t.tree = (int32_t *)(t.bits + nw);
     int32_t *slot = t.tree + nw + 1;
     int32_t *lab = slot + nn;
-    int32_t *push_parent = lab + nn;
-    int32_t *row = push_parent + nn;
+    int32_t *row = lab + nn;
     int32_t *adj = row + nn + 1;
     int rc = EXPLORE_OK;
 
-    /* Components by union-find in comp (push_parent's storage, unused until
-     * the walk), each root linked under the smaller one, so comp[v] <= v
-     * throughout and one ascending pass resolves every root. The pass also
-     * checks the CSR arrays before anything relies on them. This pass and
-     * the next ones read and write out of order; they prefetch AHEAD
-     * entries in advance. */
-    int32_t *comp = push_parent;
+    /* Components by union-find in comp (row's storage, unused until the
+     * rows are built), each root linked under the smaller one, so
+     * comp[v] <= v throughout and one ascending pass resolves every root.
+     * The pass also checks the CSR arrays before anything relies on them.
+     * This pass and the next ones read and write out of order; they
+     * prefetch AHEAD entries in advance. */
+    int32_t *comp = row;
     for (int32_t v = 0; v < n; v++)
         comp[v] = v;
     for (int32_t v = 0; v < n; v++) {
@@ -366,22 +402,14 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
         nf->end = row[ws + 1];
         nf->d1 = 0;
         nf->d2 = 0;
-        push_parent[npush] = u;
-        push_m_seq[npush] = m;
+        parents[w] = u;
+        push_m[w] = m;
         push_order[npush++] = w;
         if (top > max_u) {
             max_u = top;
             max_u_m = m;
         }
         fsum = -1;
-    }
-    for (int64_t i = 0; i < n; i++) {
-        if (i + AHEAD < n) {
-            PREFETCH(&parents[push_order[i + AHEAD]]);
-            PREFETCH(&push_m[push_order[i + AHEAD]]);
-        }
-        parents[push_order[i]] = push_parent[i];
-        push_m[push_order[i]] = push_m_seq[i];
     }
     info[0] = m;
     info[1] = max_u;

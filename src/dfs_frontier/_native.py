@@ -104,6 +104,8 @@ def _declare(lib):
     lib.gap_draw.argtypes = [ndpointer(np.uint64, flags="C_CONTIGUOUS"),
                              ctypes.c_double, arr, i64, arr, i64]
     lib.gap_draw.restype = i64
+    lib.csr_build.argtypes = [i64, arr, arr, i64, arr, arr]
+    lib.csr_build.restype = ctypes.c_int
     lib.explore.argtypes = [i64, arr, arr, i64, arr, i64, arr, arr, arr,
                             arr, arr]
     lib.explore.restype = ctypes.c_int

@@ -27,7 +27,8 @@ The gap loop runs in C when the native kernel loads (`gap_draw` in
 _kernel.c, compiled without FP contraction or fast-math so that every step
 rounds as in Python); otherwise materialization drives BitStream's bounded
 skips. The tests require the two to agree bit for bit. A graph is held as
-its CSR adjacency alone (`Graph`), checked once when it is built.
+its CSR adjacency alone (`Graph`), checked once when it is built; the edges
+are placed into it by counting, in C (`csr_build`), with no sort.
 
 The floor of a libm quotient is stable for a given libm; a 1-ulp difference
 in log1p across platforms could in principle move one gap boundary with
@@ -237,14 +238,16 @@ class Graph:
     @classmethod
     def from_edge_arrays(cls, n, eu, ev, validate=True):
         """Build from parallel arrays of endpoints, u < v, lex-sorted. The
-        graph keeps only the CSR built from them."""
+        graph keeps only the CSR built from them: by the native kernel when
+        it loads, else by a stable sort, with the same bytes. An endpoint
+        outside [0, n) raises ValueError even when validate is False."""
         if n < 0:
             raise ConfigError(f"n must be >= 0, got {n}")
-        eu = np.asarray(eu, dtype=np.int64)
-        ev = np.asarray(ev, dtype=np.int64)
+        eu = np.ascontiguousarray(eu, dtype=np.int64)
+        ev = np.ascontiguousarray(ev, dtype=np.int64)
+        if eu.ndim != 1 or eu.shape != ev.shape:
+            raise ValueError("endpoint arrays must be 1-D, of one length")
         if validate:
-            if eu.shape != ev.shape:
-                raise ValueError("endpoint arrays differ in length")
             if len(eu):
                 if eu.min() < 0 or ev.max() >= n:
                     raise ValueError("vertex id out of range")
@@ -253,15 +256,14 @@ class Graph:
                 key = eu * n + ev
                 if not (np.diff(key) > 0).all():
                     raise ValueError("edges must be lex-sorted and unique")
-        # Row x lists the u < x of edges (u, x), then the v > x of edges
-        # (x, v), each ascending because the edges are lex-sorted; a stable
-        # sort by row keeps that order.
-        src = np.concatenate([ev, eu])
-        dst = np.concatenate([eu, ev])
-        nbrs = dst[np.argsort(src, kind="stable")]
-        counts = np.bincount(src, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        from . import _native
+        lib = _native.kernel()
+        if lib is None:
+            return cls(n, *_csr_numpy(n, eu, ev))
+        indptr = np.empty(n + 1, dtype=np.int64)
+        nbrs = np.empty(2 * len(eu), dtype=np.int64)
+        if lib.csr_build(n, eu, ev, len(eu), indptr, nbrs):
+            raise ValueError("vertex id out of range")
         return cls(n, indptr, nbrs)
 
     @classmethod
@@ -327,6 +329,20 @@ def materialize_graph(n, p, seed):
         idxs = _gap_indices(p, seed, total)
     return Graph.from_edge_arrays(n, *_pairs_from_indices(n, idxs),
                                   validate=False)
+
+
+def _csr_numpy(n, eu, ev):
+    """(indptr, nbrs) as csr_build in _kernel.c places them: row x lists the
+    u < x of edges (u, x), then the v > x of edges (x, v), each ascending
+    because the edges are lex-sorted; a stable sort by row keeps that
+    order. bincount and cumsum raise ValueError on an endpoint outside
+    [0, n)."""
+    src = np.concatenate([ev, eu])
+    dst = np.concatenate([eu, ev])
+    nbrs = dst[np.argsort(src, kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, nbrs
 
 
 def _gap_indices(p, seed, total):

@@ -1,7 +1,7 @@
 """The native kernel against the Python loops it ports: the exploration loop
 on every small graph and the random-trial graphs, the gap draw on a grid of
-(n, p, seed), the walk's forest diameter against the DP, and whole runs
-without a compiler."""
+(n, p, seed), the CSR build against the stable sort, the walk's forest
+diameter against the DP, and whole runs without a compiler."""
 
 import math
 import os
@@ -19,7 +19,8 @@ from dfs_frontier.fast_engine import checkpoint_schedule, run_fast
 from dfs_frontier.oracle import RANDOM_DENSITY_LADDER, SmallGraphEnumeration
 from dfs_frontier.randomness import (Graph, Xoshiro256StarStar,
                                      _gap_indices, materialize_graph,
-                                     pair_count)
+                                     pair_count, read_graph_file,
+                                     write_graph_file)
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
@@ -98,6 +99,72 @@ def test_explore_rejects_csr_changed_after_checks(lib):
     graph.nbrs[0] = 5
     with pytest.raises(ConfigError, match="rejects the CSR"):
         run_fast(graph, [0])
+
+
+def edge_arrays(graph):
+    return np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T
+
+
+def assert_same_csr(native, python):
+    assert native.n == python.n
+    for name in ("indptr", "nbrs"):
+        a, b = getattr(native, name), getattr(python, name)
+        assert a.dtype == b.dtype == np.int64, name
+        assert np.array_equal(a, b), (name, native.edges())
+
+
+def test_csr_build_every_graph_up_to_five_vertices(lib, python_loops):
+    for n in range(1, 6):
+        for _mask, graph in SmallGraphEnumeration(n):
+            assert_same_csr(graph, python_loops(
+                Graph.from_edge_arrays, n, *edge_arrays(graph)))
+
+
+def test_csr_build_empty_and_large_graphs(lib, python_loops):
+    for n in (0, 1):
+        empty = np.empty(0, dtype=np.int64)
+        assert_same_csr(Graph.from_edge_arrays(n, empty, empty),
+                        python_loops(Graph.from_edge_arrays, n, empty, empty))
+    graph = materialize_graph(10**5, 1.1e-5, 3)
+    assert graph.m > 50_000
+    assert_same_csr(graph, python_loops(
+        Graph.from_edge_arrays, graph.n, *edge_arrays(graph)))
+
+
+def test_csr_build_file_round_trip(lib, python_loops, tmp_path):
+    graph = materialize_graph(3000, 2.0 / 3000, 9)
+    path = str(tmp_path / "g.txt")
+    write_graph_file(graph, path)
+    native = read_graph_file(path)
+    assert_same_csr(native, python_loops(read_graph_file, path))
+    assert_same_csr(native, graph)
+
+
+@pytest.mark.parametrize("eu, ev", [([0], [7]), ([-1], [1]),
+                                    ([0, 1], [2])])
+@pytest.mark.parametrize("validate", [True, False])
+def test_csr_build_rejects_endpoints_outside_the_graph(lib, python_loops,
+                                                       eu, ev, validate):
+    # Out of [0, n), or an endpoint without its partner: never read past
+    # the arrays, whether or not the caller asked for validation.
+    for build in (Graph.from_edge_arrays,
+                  lambda *a, **k: python_loops(Graph.from_edge_arrays, *a,
+                                               **k)):
+        with pytest.raises(ValueError):
+            build(3, eu, ev, validate=validate)
+
+
+def test_csr_build_checks_every_endpoint_before_writing(lib):
+    # The bad endpoint comes last, on either side: the kernel reports it,
+    # and nbrs is still untouched.
+    for side in (0, 1):
+        for bad in (3, -1):
+            ends = np.array([[0, 0, 1], [1, 2, 2]], dtype=np.int64)
+            ends[side, -1] = bad
+            indptr = np.zeros(4, dtype=np.int64)
+            nbrs = np.full(6, -7, dtype=np.int64)
+            assert lib.csr_build(3, ends[0], ends[1], 3, indptr, nbrs) == 1
+            assert (nbrs == -7).all()
 
 
 GAP_GRID_N = (0, 1, 2, 200, 5000)
