@@ -14,9 +14,8 @@ from .oracle import (SmallGraphEnumeration, equivalence_sweep,
                      exact_longest_path, ledger_recompute,
                      random_equivalence_trials)
 from .randomness import (BitStream, FixedBits, Graph, Xoshiro256StarStar,
-                         materialize_graph, pair_count, pair_from_index,
-                         pair_index, read_graph_file, splitmix64,
-                         write_graph_file)
+                         materialize_graph, pair_count, read_graph_file,
+                         splitmix64, write_graph_file)
 from .reference_engine import (DfsState, QueryLedger, ReferenceResult,
                                ledger_at, run_reference, write_event_csv)
 
@@ -29,7 +28,7 @@ __all__ = [
     "checkpoint_schedule", "component_census", "default_checkpoints",
     "equivalence_sweep", "exact_longest_path", "ledger_at",
     "ledger_recompute", "materialize_graph", "pair_count",
-    "pair_from_index", "pair_index", "random_equivalence_trials",
-    "read_graph_file", "reference_moments", "run_fast", "run_reference",
-    "splitmix64", "write_event_csv", "write_graph_file",
+    "random_equivalence_trials", "read_graph_file", "reference_moments",
+    "run_fast", "run_reference", "splitmix64", "write_event_csv",
+    "write_graph_file",
 ]

@@ -4,9 +4,9 @@
  *
  * Each function does the work of Python code that stays in the package as
  * the readable specification and as the fallback when no C compiler is
- * present: BitStream.skip_to_next_success, as randomness._gap_indices
- * drives it, the stable sort in randomness._csr_numpy, and
- * fast_engine._explore_python.
+ * present: BitStream.skip_to_next_success with its row walk, as
+ * randomness._gap_edges drives it, the stable sort in randomness._csr_numpy,
+ * and fast_engine._explore_python.
  * The outputs are identical bit for bit. The gap draw relies on that: it
  * must be compiled without -ffast-math and without FP contraction (-std=c99
  * turns contraction off), so that u, log1p(-u) and the quotient round
@@ -30,16 +30,21 @@ static uint64_t rotl(uint64_t x, int k)
     return (x << k) | (x >> (64 - k));
 }
 
-/* Success positions of a Bernoulli stream over the pair indices [0, total).
+/* The edges of G(n, p): the successes of a Bernoulli stream over the pairs
+ * (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1), in that order.
  *
- * s is the xoshiro256** state, *idx the last position drawn (-1 at the
- * start); both are updated, so a full buffer is resumed by calling again.
- * Writes at most cap positions to out and returns how many it wrote. When the
- * next gap reaches past total, *idx becomes total: the stream is done. */
-int64_t gap_draw(uint64_t *s, double log1mp, int64_t *idx, int64_t total,
-                 int64_t *out, int64_t cap)
+ * s is the xoshiro256** state, and pos = (i, u, v) the last success's rank
+ * and its pair, (-1, 0, 0) at the start; both are updated, so a full buffer
+ * is resumed by calling again. Each gap moves the rank on by step pairs, and
+ * the walk carries that step across the rows it ends, so no rank is decoded.
+ * Writes at most cap edges to (eu, ev) and returns how many it wrote. When
+ * the next gap reaches past the last pair, pos[0] becomes C(n, 2): the
+ * stream is done. */
+int64_t gap_draw(uint64_t *s, double log1mp, int64_t n, int64_t *pos,
+                 int64_t *eu, int64_t *ev, int64_t cap)
 {
-    int64_t i = *idx, k = 0;
+    int64_t total = n * (n - 1) / 2;
+    int64_t i = pos[0], u = pos[1], v = pos[2], k = 0;
     while (k < cap) {
         uint64_t x = rotl(s[1] * 5, 7) * 9;
         uint64_t t = s[1] << 17;
@@ -49,18 +54,29 @@ int64_t gap_draw(uint64_t *s, double log1mp, int64_t *idx, int64_t total,
         s[0] ^= s[3];
         s[2] ^= t;
         s[3] = rotl(s[3], 45);
-        double u = (double)(x >> 11) * 0x1.0p-53;
-        double q = log1p(-u) / log1mp;
+        double u01 = (double)(x >> 11) * 0x1.0p-53;
+        double q = log1p(-u01) / log1mp;
         /* As BitStream: the gap int(q) ends a success at i + int(q) + 1,
          * unless that is >= total. */
         if (q >= 0x1.0p63 || (int64_t)q >= total - i - 1) {
             i = total;
             break;
         }
-        i += (int64_t)q + 1;
-        out[k++] = i;
+        int64_t step = (int64_t)q + 1;
+        i += step;
+        /* Row u has n - 1 - v pairs after (u, v). */
+        while (step > n - 1 - v) {
+            step -= n - 1 - v;
+            v = ++u;
+        }
+        v += step;
+        eu[k] = u;
+        ev[k] = v;
+        k++;
     }
-    *idx = i;
+    pos[0] = i;
+    pos[1] = u;
+    pos[2] = v;
     return k;
 }
 

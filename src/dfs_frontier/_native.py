@@ -102,7 +102,7 @@ def _declare(lib):
     i64 = ctypes.c_int64
     arr = ndpointer(np.int64, flags="C_CONTIGUOUS")
     lib.gap_draw.argtypes = [ndpointer(np.uint64, flags="C_CONTIGUOUS"),
-                             ctypes.c_double, arr, i64, arr, i64]
+                             ctypes.c_double, i64, arr, arr, arr, i64]
     lib.gap_draw.restype = i64
     lib.csr_build.argtypes = [i64, arr, arr, i64, arr, arr]
     lib.csr_build.restype = ctypes.c_int

@@ -23,10 +23,15 @@ machines and sessions:
   2e-307). Because both bit-by-bit and skip consumption read the same pending
   gap, the two access patterns agree on success positions by construction.
 
-The gap loop runs in C when the native kernel loads (`gap_draw` in
-_kernel.c, compiled without FP contraction or fast-math so that every step
-rounds as in Python); otherwise materialization drives BitStream's bounded
-skips. The tests require the two to agree bit for bit. A graph is held as
+Materialization reads the stream in lexicographic pair order and writes
+edges, not pair ranks: each gap of k zeros moves the last edge (u, v) on by
+k + 1 pairs, and the step is carried across the rows it ends (Batagelj and
+Brandes, Phys. Rev. E 71, 036113, 2005), so no rank is ever decoded. The
+gap loop runs in C when the native kernel loads (`gap_draw` in _kernel.c,
+compiled without FP contraction or fast-math so that every step rounds as
+in Python); otherwise materialization drives BitStream's bounded skips
+through the same row walk. The tests require the two to agree bit for bit
+and check both against an explicit pair list. A graph is held as
 its CSR adjacency alone (`Graph`), checked once when it is built; the edges
 are placed into it by counting, in C (`csr_build`), with no sort.
 
@@ -186,31 +191,6 @@ def pair_count(n):
     return n * (n - 1) // 2
 
 
-def pair_index(n, u, v):
-    """Rank of the pair (u, v), u < v, in lexicographic order:
-    (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1)."""
-    if not 0 <= u < v < n:
-        raise ValueError(f"need 0 <= u < v < n, got ({u}, {v}) with n={n}")
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
-def pair_from_index(n, idx):
-    """Inverse of pair_index. Float guess for the row, then exact fixup."""
-    if not 0 <= idx < pair_count(n):
-        raise ValueError(f"pair index {idx} out of range for n={n}")
-    h = n - 0.5
-    u = int(h - math.sqrt(h * h - 2.0 * idx))
-    if u < 0:
-        u = 0
-    # Exact integer correction of the float estimate (off by at most 1).
-    while u * n - u * (u + 1) // 2 > idx:
-        u -= 1
-    while (u + 1) * n - (u + 1) * (u + 2) // 2 <= idx:
-        u += 1
-    v = idx - (u * n - u * (u + 1) // 2) + u + 1
-    return u, v
-
-
 class Graph:
     """An undirected simple graph held as its CSR adjacency alone: row v,
     nbrs[indptr[v]:indptr[v + 1]], lists v's neighbours ascending, so m is
@@ -268,13 +248,10 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
-        """Build from an iterable of pairs in any order/orientation."""
+        """Build from an iterable of pairs in any order/orientation; a
+        self-loop or a repeated pair fails from_edge_arrays' checks with
+        ValueError."""
         norm = sorted((u, v) if u < v else (v, u) for u, v in edges)
-        for u, v in norm:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-        if len(set(norm)) != len(norm):
-            raise ValueError("duplicate edge")
         if norm:
             eu, ev = zip(*norm)
         else:
@@ -320,15 +297,13 @@ def materialize_graph(n, p, seed):
         raise ConfigError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"p must be in [0, 1], got {p!r}")
-    total = pair_count(n)
-    if p == 0.0 or total == 0:
-        idxs = np.empty(0, dtype=np.int64)
+    if p == 0.0 or n < 2:
+        eu = ev = np.empty(0, dtype=np.int64)
     elif p >= 1.0:
-        idxs = np.arange(total, dtype=np.int64)
+        eu, ev = np.triu_indices(n, 1)
     else:
-        idxs = _gap_indices(p, seed, total)
-    return Graph.from_edge_arrays(n, *_pairs_from_indices(n, idxs),
-                                  validate=False)
+        eu, ev = _gap_edges(n, p, seed)
+    return Graph.from_edge_arrays(n, eu, ev, validate=False)
 
 
 def _csr_numpy(n, eu, ev):
@@ -345,53 +320,46 @@ def _csr_numpy(n, eu, ev):
     return indptr, nbrs
 
 
-def _gap_indices(p, seed, total):
-    """Success positions of BitStream(seed, p) over the pair indices
-    [0, total), 0 < p < 1, as an int64 array: drawn by the native kernel
-    when it loads, else by bounded skips of the stream itself."""
+def _gap_edges(n, p, seed):
+    """The edges (eu, ev) at the success positions of BitStream(seed, p)
+    over the lexicographic pair order, n >= 2 and 0 < p < 1, as int64
+    arrays: drawn by the native kernel when it loads, else by bounded skips
+    of the stream itself. Each skip of k zeros moves the last edge on by
+    k + 1 pairs, carried across the rows it ends."""
+    total = pair_count(n)
     from . import _native
     lib = _native.kernel()
     if lib is None:
         stream = BitStream(seed, p)
-        out = []
-        while stream.skip_to_next_success(total - stream.cursor) is not None:
-            out.append(stream.cursor - 1)
-        return np.array(out, dtype=np.int64)
+        us, vs = [], []
+        u = v = 0
+        while (k := stream.skip_to_next_success(total - stream.cursor)
+               ) is not None:
+            step = k + 1
+            # Row u has n - 1 - v pairs after (u, v).
+            while step > n - 1 - v:
+                step -= n - 1 - v
+                u += 1
+                v = u
+            v += step
+            us.append(u)
+            vs.append(v)
+        return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
     rng = Xoshiro256StarStar(seed)
     state = np.array([rng._s0, rng._s1, rng._s2, rng._s3], dtype=np.uint64)
-    last = np.array([-1], dtype=np.int64)
+    pos = np.array([-1, 0, 0], dtype=np.int64)
     mean = total * p
     cap = min(total, int(mean + 6.0 * math.sqrt(mean)) + 16)
-    chunks = []
-    while last[0] < total:
-        buf = np.empty(cap, dtype=np.int64)
-        got = lib.gap_draw(state, math.log1p(-p), last, total, buf, cap)
-        chunks.append(buf[:got])
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
-def _pairs_from_indices(n, idxs):
-    """Vectorized pair_from_index over an int64 array of ranks."""
-    if len(idxs) == 0:
-        return idxs.copy(), idxs.copy()
-    h = n - 0.5
-    u = (h - np.sqrt(h * h - 2.0 * idxs.astype(np.float64))).astype(np.int64)
-    np.clip(u, 0, n - 2, out=u)
-    # Same off-by-one fixup as the scalar path, vectorized to a fixpoint.
-    while True:
-        off = u * n - u * (u + 1) // 2
-        too_high = off > idxs
-        if too_high.any():
-            u[too_high] -= 1
-            continue
-        off_next = (u + 1) * n - (u + 1) * (u + 2) // 2
-        too_low = off_next <= idxs
-        if too_low.any():
-            u[too_low] += 1
-            continue
-        break
-    v = idxs - off + u + 1
-    return u, v
+    us, vs = [], []
+    while pos[0] < total:
+        eu = np.empty(cap, dtype=np.int64)
+        ev = np.empty(cap, dtype=np.int64)
+        got = lib.gap_draw(state, math.log1p(-p), n, pos, eu, ev, cap)
+        us.append(eu[:got])
+        vs.append(ev[:got])
+    if len(us) == 1:
+        return us[0], vs[0]
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def write_graph_file(graph, path):

@@ -17,8 +17,8 @@ from dfs_frontier.diagnostics import forest_diameter_from_parents
 from dfs_frontier.errors import ConfigError
 from dfs_frontier.fast_engine import checkpoint_schedule, run_fast
 from dfs_frontier.oracle import RANDOM_DENSITY_LADDER, SmallGraphEnumeration
-from dfs_frontier.randomness import (Graph, Xoshiro256StarStar,
-                                     _gap_indices, materialize_graph,
+from dfs_frontier.randomness import (BitStream, Graph, Xoshiro256StarStar,
+                                     _gap_edges, materialize_graph,
                                      pair_count, read_graph_file,
                                      write_graph_file)
 
@@ -167,11 +167,22 @@ def test_csr_build_checks_every_endpoint_before_writing(lib):
             assert (nbrs == -7).all()
 
 
-GAP_GRID_N = (0, 1, 2, 200, 5000)
+GAP_GRID_N = (0, 1, 2, 3, 4, 200, 5000)
 # Below about 2e-307 a gap can overflow to an infinite quotient.
 GAP_GRID_P = (5e-324, 1e-310, 1e-300, 1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.999,
               1.0 - 2.0 ** -52)
 GAP_GRID_SEED = (0, 1, 42, 2**64 - 1)
+
+
+def success_pairs(n, p, seed):
+    """The pairs, listed explicitly in lexicographic order, at the success
+    positions of BitStream(seed, p)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    stream = BitStream(seed, p)
+    out = []
+    while stream.skip_to_next_success(len(pairs) - stream.cursor) is not None:
+        out.append(pairs[stream.cursor - 1])
+    return out
 
 
 def test_gap_draw_matches_python_loop(lib, python_loops):
@@ -184,28 +195,39 @@ def test_gap_draw_matches_python_loop(lib, python_loops):
                 native = materialize_graph(n, p, seed)
                 python = python_loops(materialize_graph, n, p, seed)
                 assert native == python, (n, p, seed)
-                if total:
-                    got = _gap_indices(p, seed, total)
-                    want = python_loops(_gap_indices, p, seed, total)
-                    assert got.dtype == np.int64
-                    assert np.array_equal(got, want), (n, p, seed)
+                if n < 2:
+                    continue
+                got = _gap_edges(n, p, seed)
+                want = python_loops(_gap_edges, n, p, seed)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype == np.int64
+                    assert np.array_equal(a, b), (n, p, seed)
+                if n <= 200:
+                    assert (list(zip(*(a.tolist() for a in got)))
+                            == success_pairs(n, p, seed)), (n, p, seed)
 
 
 def test_gap_draw_resumes_across_full_buffers(lib, python_loops):
-    # A buffer of 7 fills again and again; the state and position carried
-    # between calls continue the one stream.
-    total, p, seed = pair_count(200), 0.05, 4242
+    # A buffer of 7 fills again and again; the state and the last edge
+    # carried between calls continue the one stream across rows.
+    n, p, seed = 200, 0.05, 4242
+    total = pair_count(n)
     rng = Xoshiro256StarStar(seed)
     state = np.array([rng._s0, rng._s1, rng._s2, rng._s3], dtype=np.uint64)
-    last = np.array([-1], dtype=np.int64)
-    chunks = []
-    while last[0] < total:
-        buf = np.empty(7, dtype=np.int64)
-        chunks.append(buf[:lib.gap_draw(state, math.log1p(-p), last, total,
-                                        buf, 7)])
-    assert len(chunks) > 10
-    assert np.array_equal(np.concatenate(chunks),
-                          python_loops(_gap_indices, p, seed, total))
+    pos = np.array([-1, 0, 0], dtype=np.int64)
+    us, vs = [], []
+    while pos[0] < total:
+        eu = np.empty(7, dtype=np.int64)
+        ev = np.empty(7, dtype=np.int64)
+        got = lib.gap_draw(state, math.log1p(-p), n, pos, eu, ev, 7)
+        us.append(eu[:got])
+        vs.append(ev[:got])
+        if got:
+            assert pos[1:].tolist() == [eu[got - 1], ev[got - 1]]
+    assert len(us) > 100
+    want = python_loops(_gap_edges, n, p, seed)
+    assert np.array_equal(np.concatenate(us), want[0])
+    assert np.array_equal(np.concatenate(vs), want[1])
 
 
 def test_forest_diameter_matches_python_loop(lib, python_loops):

@@ -3,15 +3,11 @@ graph materialization, and the canonical graph file format."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dfs_frontier.errors import ConfigError, StreamExhausted
 from dfs_frontier.randomness import (BitStream, FixedBits, Graph,
-                                     Xoshiro256StarStar, _pairs_from_indices,
-                                     materialize_graph, pair_count,
-                                     pair_from_index, pair_index,
-                                     read_graph_file, splitmix64,
+                                     Xoshiro256StarStar, materialize_graph,
+                                     pair_count, read_graph_file, splitmix64,
                                      write_graph_file)
 from dfs_frontier.reference_engine import run_reference
 
@@ -202,31 +198,6 @@ class TestBitStream:
             s.next_bit()
 
 
-class TestPairIndexing:
-    def test_exhaustive_bijection(self):
-        for n in range(2, 13):
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            assert pair_count(n) == len(pairs)
-            for idx, (u, v) in enumerate(pairs):
-                assert pair_index(n, u, v) == idx
-                assert pair_from_index(n, idx) == (u, v)
-
-    @settings(deadline=None)
-    @given(st.integers(2, 300), st.integers(0, 2**62))
-    def test_random_round_trip(self, n, raw):
-        idx = raw % pair_count(n)
-        u, v = pair_from_index(n, idx)
-        assert 0 <= u < v < n
-        assert pair_index(n, u, v) == idx
-
-    def test_vectorized_decode_matches_scalar(self):
-        for n in (2, 3, 7, 30, 100):
-            idxs = np.arange(pair_count(n), dtype=np.int64)
-            eu, ev = _pairs_from_indices(n, idxs)
-            expected = [pair_from_index(n, int(i)) for i in idxs]
-            assert list(zip(eu.tolist(), ev.tolist())) == expected
-
-
 class TestGraph:
     def test_from_edges_normalizes(self):
         g = Graph.from_edges(4, [(2, 0), (1, 3), (0, 1)])
@@ -274,11 +245,15 @@ class TestMaterializeGraph:
         g = materialize_graph(100, 0.0, 1)
         assert g.m == 0
 
-    def test_p_one_complete(self):
-        # K_50: all 1225 pairs present, no generator draws needed.
-        g = materialize_graph(50, 1.0, 1)
-        assert g.m == 1225
-        assert g.has_edge(0, 49) and g.has_edge(24, 25)
+    def test_p_one_complete(self, python_loops):
+        # K_n: every pair present in lexicographic order, no generator
+        # draws needed, with or without the native kernel.
+        for n in (0, 1, 2, 3, 6, 50):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for g in (materialize_graph(n, 1.0, 1),
+                      python_loops(materialize_graph, n, 1.0, 1)):
+                assert g.m == pair_count(n)
+                assert g.edges() == pairs
 
     def test_deterministic_in_seed(self):
         a = materialize_graph(500, 0.01, 99)
@@ -291,14 +266,14 @@ class TestMaterializeGraph:
         # The inlined gap loop must be observationally identical to driving
         # BitStream.skip_to_next_success over the pair space.
         n, p, seed = 200, 0.05, 4242
-        total = pair_count(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         stream = BitStream(seed, p)
         edges = []
-        while stream.cursor < total:
-            k = stream.skip_to_next_success(limit=total - stream.cursor)
+        while stream.cursor < len(pairs):
+            k = stream.skip_to_next_success(limit=len(pairs) - stream.cursor)
             if k is None:
                 break
-            edges.append(pair_from_index(n, stream.cursor - 1))
+            edges.append(pairs[stream.cursor - 1])
         g = materialize_graph(n, p, seed)
         assert g.edges() == edges
         assert g.m > 0
