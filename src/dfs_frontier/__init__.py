@@ -5,9 +5,8 @@ diagnostics for the supercritical stack/frontier picture."""
 __version__ = "0.1.0"
 
 from .diagnostics import (AggregateReport, ComponentCensus, MetricSummary,
-                          Moments, RunReport, TrajectorySample, aggregate,
-                          component_census, default_checkpoints,
-                          reference_moments)
+                          Moments, RunReport, aggregate, component_census,
+                          default_checkpoints, reference_moments)
 from .errors import ConfigError, InvariantViolation, StreamExhausted
 from .fast_engine import FastResult, TIndex, checkpoint_schedule, run_fast
 from .oracle import (SmallGraphEnumeration, equivalence_sweep,
@@ -16,19 +15,18 @@ from .oracle import (SmallGraphEnumeration, equivalence_sweep,
 from .randomness import (BitStream, FixedBits, Graph, Xoshiro256StarStar,
                          materialize_graph, pair_count, read_graph_file,
                          splitmix64, write_graph_file)
-from .reference_engine import (DfsState, QueryLedger, ReferenceResult,
-                               ledger_at, run_reference, write_event_csv)
+from .reference_engine import (QueryLedger, ReferenceResult, ledger_at,
+                               run_reference)
 
 __all__ = [
     "AggregateReport", "BitStream", "ComponentCensus", "ConfigError",
-    "DfsState", "FastResult", "FixedBits", "Graph", "InvariantViolation",
+    "FastResult", "FixedBits", "Graph", "InvariantViolation",
     "MetricSummary", "Moments", "QueryLedger", "ReferenceResult",
     "RunReport", "SmallGraphEnumeration", "StreamExhausted", "TIndex",
-    "TrajectorySample", "Xoshiro256StarStar", "aggregate",
+    "Xoshiro256StarStar", "aggregate",
     "checkpoint_schedule", "component_census", "default_checkpoints",
     "equivalence_sweep", "exact_longest_path", "ledger_at",
     "ledger_recompute", "materialize_graph", "pair_count",
     "random_equivalence_trials", "read_graph_file", "reference_moments",
-    "run_fast", "run_reference", "splitmix64", "write_event_csv",
-    "write_graph_file",
+    "run_fast", "run_reference", "splitmix64", "write_graph_file",
 ]

@@ -6,7 +6,8 @@
  * the readable specification and as the fallback when no C compiler is
  * present: BitStream.skip_to_next_success with its row walk, as
  * randomness._gap_edges drives it, the stable sort in randomness._csr_numpy,
- * and fast_engine._explore_python.
+ * and fast_engine._explore_python, which keeps the same stack frames and
+ * the same single push site, on the graph in label order.
  * The outputs are identical bit for bit. The gap draw relies on that: it
  * must be compiled without -ffast-math and without FP contraction (-std=c99
  * turns contraction off), so that u, log1p(-u) and the quotient round
@@ -173,7 +174,8 @@ static int32_t uf_find(int32_t *uf, int32_t x)
 
 /* A stack entry: vertex label v, its frontier label f, the unread part
  * [cur, end) of its row in the slot adjacency, and the two deepest paths
- * down into its completed children, in edges (0 without children). */
+ * down into its completed children, in edges (0 without children). The
+ * Python loop's frames are the lists [v, f, cur, end, d1, d2]. */
 typedef struct {
     int64_t f;
     int32_t v, cur, end, d1, d2;

@@ -141,19 +141,14 @@ def forest_diameter_from_parents(parents, order):
 # run-level and aggregate reports
 # ----------------------------------------------------------------------
 
-@dataclass
-class TrajectorySample:
-    """Partition sizes and query-ledger reading at one clock moment."""
-    m: int
-    size_S: int
-    size_U: int
-    size_T: int
-    q_ST: int
-    q_SU: int
-    q_UT: int
-
-
+# A trajectory is an int64 array with one row per checkpoint, ascending in
+# m: the partition sizes and the query-ledger reading at that moment.
 TRAJECTORY_COLUMNS = ("m", "size_S", "size_U", "size_T", "q_ST", "q_SU", "q_UT")
+
+
+def trajectory_array(rows):
+    """The trajectory of a sequence of TRAJECTORY_COLUMNS tuples."""
+    return np.array(rows, dtype=np.int64).reshape(-1, len(TRAJECTORY_COLUMNS))
 
 
 @dataclass
@@ -276,9 +271,15 @@ def assemble_run_report(*, config, n, epsilon, p, samples, max_U,
     during its walk, the reference engine with forest_diameter_from_parents),
     so the oracle's report comparison checks one against the other. Fields
     whose inputs are unavailable (no epsilon, checkpoint not reached, no
-    graph to count edges for excess_total) come out None.
+    graph to count edges for excess_total) come out None. `samples` is a
+    trajectory array; m1 and m2 are looked up in its column m.
     """
-    by_m = {s.m: s for s in samples}
+    def row_at(moment):
+        i = int(np.searchsorted(samples[:, 0], moment))
+        if i < len(samples) and samples[i, 0] == moment:
+            return samples[i].tolist()
+        return None
+
     u_at_m1 = q_ut_at_m1 = None
     t_p_at_m1 = t_p_at_m2 = None
     if epsilon is not None and 0.0 < epsilon < 1.0:
@@ -287,15 +288,14 @@ def assemble_run_report(*, config, n, epsilon, p, samples, max_U,
         except ConfigError:
             mom = None
         if mom is not None:
-            s1 = by_m.get(mom.m1)
-            s2 = by_m.get(mom.m2)
+            s1 = row_at(mom.m1)
+            s2 = row_at(mom.m2)
             if s1 is not None:
-                u_at_m1 = s1.size_U
-                q_ut_at_m1 = s1.q_UT
+                _, _, u_at_m1, size_t, _, _, q_ut_at_m1 = s1
                 if p is not None:
-                    t_p_at_m1 = s1.size_T * p
+                    t_p_at_m1 = size_t * p
             if s2 is not None and p is not None:
-                t_p_at_m2 = s2.size_T * p
+                t_p_at_m2 = s2[3] * p          # size_T
     census = component_census(parents, push_order)
     excess_total = None
     if graph is not None:
@@ -330,9 +330,7 @@ def atomic_write_text(path, text):
 
 def write_trajectory_csv(samples, path):
     rows = [",".join(TRAJECTORY_COLUMNS)]
-    for s in samples:
-        rows.append(f"{s.m},{s.size_S},{s.size_U},{s.size_T},"
-                    f"{s.q_ST},{s.q_SU},{s.q_UT}")
+    rows += [",".join(map(str, row)) for row in samples.tolist()]
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 

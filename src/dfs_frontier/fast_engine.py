@@ -33,9 +33,12 @@ one against the other.
 
 The loop runs in C (`explore` in _kernel.c, compiled on first use by
 _native) on a copy of the graph laid out component by component, so that
-the walk stays in cache. `_explore_python`, the same loop in Python, runs
-instead only when the kernel does not load (no C compiler), never for a
-particular graph. Both return the forest as int64 arrays and raise the
+the walk stays in cache. `_explore_python` is the same loop in Python,
+frame for frame (one stack frame per U-member, one push site for roots and
+children alike), on the graph in label order. It runs instead only when
+the kernel does not load (no C compiler), never for a particular graph.
+Both return the samples as one int64 row per checkpoint, in
+TRAJECTORY_COLUMNS order, and the forest as int64 arrays, and raise the
 same InvariantViolation on the same input; the tests compare them on every
 small graph.
 """
@@ -47,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (TrajectorySample, assemble_run_report,
-                          default_checkpoints, reference_moments)
+from .diagnostics import (assemble_run_report, default_checkpoints,
+                          reference_moments, trajectory_array)
 from .errors import ConfigError, InvariantViolation
 from .randomness import pair_count
 
@@ -125,11 +128,11 @@ def checkpoint_schedule(n, epsilon=None, stride=None):
 @dataclass
 class FastResult:
     report: object            # RunReport
-    samples: list             # TrajectorySample per reached checkpoint
+    samples: np.ndarray       # int64 (k, 7): a TRAJECTORY_COLUMNS row per
+                              # reached checkpoint, ascending in m
     parents: np.ndarray       # int64 DFS forest: parents[v] = parent or -1
     push_order: np.ndarray    # int64 vertices in push order
     push_m: np.ndarray        # int64 clock of each vertex's push
-    unqueried_pairs: int      # C(n,2) - dfs_query_total
 
 
 def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
@@ -154,11 +157,9 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
                 else _explore_native(lib, graph, cps))
     samples, parents, push_order, push_m, m, max_u, max_u_m, lfp = explored
 
-    cp_i = len(samples)
-    while cp_i < len(cps) and cps[cp_i] == m:
-        samples.append(TrajectorySample(m=m, size_S=n, size_U=0, size_T=0,
-                                        q_ST=0, q_SU=m, q_UT=0))
-        cp_i += 1
+    # The loops sample inside jumps; cps holds the final clock at most once.
+    if len(samples) < len(cps) and cps[len(samples)] == m:
+        samples = np.concatenate((samples, [(m, n, 0, 0, 0, m, 0)]))
 
     config = {"n": n, "epsilon": epsilon, "p": p, "seed": seed,
               "engine": "fast"}
@@ -168,8 +169,7 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
         longest_forest_path=lfp, parents=parents, push_order=push_order,
         push_m=push_m, graph=graph)
     return FastResult(report=report, samples=samples, parents=parents,
-                      push_order=push_order, push_m=push_m,
-                      unqueried_pairs=pair_count(n) - m)
+                      push_order=push_order, push_m=push_m)
 
 
 # Kernel return codes of explore() in _kernel.c that are invariant
@@ -204,16 +204,15 @@ def _explore_native(lib, graph, cps):
                           "32-bit slots, or changed since Graph checked it")
     if rc == _NO_MEMORY:
         raise MemoryError(f"explore kernel at n = {n}")
-    samples = [TrajectorySample(*row) for row in rows[:taken].tolist()]
-    return samples, parents, push_order, push_m, m, max_u, max_u_m, lfp
+    return rows[:taken], parents, push_order, push_m, m, max_u, max_u_m, lfp
 
 
 def _explore_python(graph, cps):
-    """The exploration loop that _kernel.c ports line for line.
+    """`explore` of _kernel.c in Python, frame for frame, in label order.
 
     Returns (samples, parents, push_order, push_m, m, max_U,
-    max_U_argmax_m, longest_forest_path), with the samples of every
-    checkpoint passed inside a jump; checkpoints at the final clock are
+    max_U_argmax_m, longest_forest_path), with a sample row for every
+    checkpoint passed inside a jump; a checkpoint at the final clock is
     left to the caller.
     """
     n = graph.n
@@ -221,13 +220,12 @@ def _explore_python(graph, cps):
     present = tindex.present     # 1 while the label is in T
     indptr = graph.indptr.tolist()
     nbrs = graph.nbrs.tolist()
-    cursor = indptr[:n]
-    frontier = [-1] * n
     parents = [-1] * n
     push_order = []
     push_m = [-1] * n
-    down1 = [0] * n              # the two deepest paths into completed
-    down2 = [0] * n              # children, in edges
+    # A frame [v, f, cur, end, d1, d2]: vertex v, its frontier label f, the
+    # unread part [cur, end) of its row, and the two deepest paths down into
+    # its completed children, in edges.
     stack = []
     size_t = n
     size_s = 0
@@ -239,103 +237,85 @@ def _explore_python(graph, cps):
     samples = []
     cp_i = 0
     ncp = len(cps)
-    fsum = 0                     # frontier sum at the settled moment; None = stale
+    fsum = None                  # frontier sum at the settled moment; None = stale
 
     while True:
+        w = -1
         if not stack:
             if size_t == 0:
                 break
             while not present[min_ptr]:
                 min_ptr += 1
-            r = min_ptr
-            tindex.delete(r)
-            size_t -= 1
-            stack.append(r)
-            push_order.append(r)
-            push_m[r] = m
-            if len(stack) > max_u:
-                max_u = len(stack)
-                max_u_m = m
-            fsum = None
-            continue
-        u = stack[-1]
-        f = frontier[u]
-        # Next neighbor still in T; entries that left T never return.
-        cur = cursor[u]
-        end = indptr[u + 1]
-        w = -1
-        while cur < end:
-            x = nbrs[cur]
-            if present[x]:
-                w = x
-                break
-            cur += 1
-        cursor[u] = cur
-        base = tindex.count_leq(f)
-        if w >= 0:
-            if w <= f:
-                raise InvariantViolation(
-                    "T-neighbor at or below frontier",
-                    {"vertex": u, "frontier": f, "target": w})
-            k = tindex.count_leq(w) - base
+            u = -1
+            w = min_ptr
         else:
-            k = size_t - base
-        if k:
-            while cp_i < ncp and cps[cp_i] < m + k:
-                c = cps[cp_i]
-                if fsum is None:
-                    fsum = _frontier_sum(tindex, stack, frontier)
-                q_ut = fsum + (c - m)
-                q_st = size_s * size_t
-                q_su = c - q_st - q_ut
-                if q_su < 0:
+            fr = stack[-1]
+            u, f, cur, end = fr[0], fr[1], fr[2], fr[3]
+            # Next neighbor still in T; entries that left T never return.
+            while cur < end:
+                x = nbrs[cur]
+                if present[x]:
+                    w = x
+                    break
+                cur += 1
+            fr[2] = cur
+            base = tindex.count_leq(f)
+            if w >= 0:
+                if w <= f:
                     raise InvariantViolation(
-                        "negative q_SU at checkpoint",
-                        {"m": c, "q_ST": q_st, "q_UT": q_ut})
-                samples.append(TrajectorySample(
-                    m=c, size_S=size_s, size_U=len(stack), size_T=size_t,
-                    q_ST=q_st, q_SU=q_su, q_UT=q_ut))
-                cp_i += 1
-            m += k
-        elif w >= 0:
-            raise InvariantViolation("positive jump consumed no query",
-                                     {"vertex": u, "target": w})
-        if w >= 0:
-            frontier[u] = w
-            cursor[u] = cur + 1
-            tindex.delete(w)
-            size_t -= 1
-            stack.append(w)
-            parents[w] = u
-            push_order.append(w)
-            push_m[w] = m
-            if len(stack) > max_u:
-                max_u = len(stack)
-                max_u_m = m
-        else:
-            stack.pop()
-            size_s += 1
-            if down1[u] + down2[u] > best:
-                best = down1[u] + down2[u]
-            if stack:
-                p = stack[-1]
-                d = down1[u] + 1
-                if d > down1[p]:
-                    down2[p] = down1[p]
-                    down1[p] = d
-                elif d > down2[p]:
-                    down2[p] = d
+                        "T-neighbor at or below frontier",
+                        {"vertex": u, "frontier": f, "target": w})
+                k = tindex.count_leq(w) - base
+            else:
+                k = size_t - base
+            if k:
+                while cp_i < ncp and cps[cp_i] < m + k:
+                    c = cps[cp_i]
+                    if fsum is None:
+                        fsum = sum(tindex.count_leq(fr[1]) for fr in stack)
+                    q_ut = fsum + (c - m)
+                    q_st = size_s * size_t
+                    q_su = c - q_st - q_ut
+                    if q_su < 0:
+                        raise InvariantViolation(
+                            "negative q_SU at checkpoint",
+                            {"m": c, "q_ST": q_st, "q_UT": q_ut})
+                    samples.append((c, size_s, len(stack), size_t, q_st,
+                                    q_su, q_ut))
+                    cp_i += 1
+                m += k
+            elif w >= 0:
+                raise InvariantViolation("positive jump consumed no query",
+                                         {"vertex": u, "target": w})
+            if w < 0:
+                if fr[4] + fr[5] > best:
+                    best = fr[4] + fr[5]
+                stack.pop()
+                if stack:
+                    up = stack[-1]
+                    d = fr[4] + 1
+                    if d > up[4]:
+                        up[5] = up[4]
+                        up[4] = d
+                    elif d > up[5]:
+                        up[5] = d
+                size_s += 1
+                fsum = None
+                continue
+            fr[1] = w
+            fr[2] = cur + 1
+        # Push w (a new root when u is -1).
+        tindex.delete(w)
+        size_t -= 1
+        stack.append([w, -1, indptr[w], indptr[w + 1], 0, 0])
+        parents[w] = u
+        push_m[w] = m
+        push_order.append(w)
+        if len(stack) > max_u:
+            max_u = len(stack)
+            max_u_m = m
         fsum = None
 
-    return (samples, np.array(parents, dtype=np.int64),
+    return (trajectory_array(samples), np.array(parents, dtype=np.int64),
             np.array(push_order, dtype=np.int64),
             np.array(push_m, dtype=np.int64), m, max_u, max_u_m, best)
-
-
-def _frontier_sum(tindex, stack, frontier):
-    total = 0
-    for v in stack:
-        f = frontier[v]
-        if f >= 0:
-            total += tindex.count_leq(f)
-    return total

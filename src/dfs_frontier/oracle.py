@@ -25,7 +25,7 @@ from .diagnostics import RunReport, atomic_write_text, write_trajectory_csv
 from .errors import ConfigError
 from .fast_engine import checkpoint_schedule, run_fast
 from .randomness import Graph, materialize_graph, write_graph_file
-from .reference_engine import DfsState, ledger_at, run_reference
+from .reference_engine import ledger_at, run_reference
 
 MAX_EXACT_COMPONENT = 20
 MAX_ENUMERATION_N = 5
@@ -67,13 +67,12 @@ class SmallGraphEnumeration:
 # exact longest path
 # ----------------------------------------------------------------------
 
-def exact_longest_path(graph, *, allow_large=False):
+def exact_longest_path(graph):
     """Length in edges of the longest simple path, computed exactly.
 
     Per connected component, a subset DP over {vertex set -> attainable path
     ends}, layered by path length; O(2^c * c * deg) time per component of
-    size c. Components larger than MAX_EXACT_COMPONENT vertices are refused
-    unless allow_large=True (the DP then runs anyway, at exponential cost).
+    size c. Components larger than MAX_EXACT_COMPONENT vertices are refused.
 
     Components come from a breadth-first search over the graph itself, never
     from an engine's DFS forest: this solver is what checks the engines.
@@ -93,10 +92,10 @@ def exact_longest_path(graph, *, allow_large=False):
         c = len(verts)
         if c == 1:
             continue
-        if c > MAX_EXACT_COMPONENT and not allow_large:
+        if c > MAX_EXACT_COMPONENT:
             raise ConfigError(
                 f"component of size {c} exceeds the exact-solver cap "
-                f"{MAX_EXACT_COMPONENT}; pass allow_large=True to force")
+                f"{MAX_EXACT_COMPONENT}")
         got = _component_longest_path(graph, verts)
         if got > best:
             best = got
@@ -154,10 +153,11 @@ class SweepResult:
         return not self.mismatches
 
 
-def compare_runs(graph, ref_result, fast_result):
+def compare_runs(ref_result, fast_result):
     """Field-by-field comparison of two engine results on one graph.
 
-    Returns a list of human-readable mismatch lines, empty when equivalent.
+    Returns a list of human-readable mismatch lines, empty when equivalent;
+    of the trajectories, only the first differing row is named.
     """
     lines = []
     for field in fields(RunReport):
@@ -177,11 +177,11 @@ def compare_runs(graph, ref_result, fast_result):
     if len(ra) != len(fa):
         lines.append(f"samples: reference has {len(ra)}, fast has {len(fa)}")
     else:
-        for s_ref, s_fast in zip(ra, fa):
-            if s_ref != s_fast:
-                lines.append(f"sample at m={s_ref.m}: reference={s_ref!r} "
-                             f"fast={s_fast!r}")
-                break
+        differ = np.flatnonzero((ra != fa).any(axis=1))
+        if differ.size:
+            i = differ[0]
+            lines.append(f"sample at m={ra[i, 0]}: "
+                         f"reference={ra[i].tolist()} fast={fa[i].tolist()}")
     return lines
 
 
@@ -191,7 +191,7 @@ def _check_one(graph, label, out_dir, mismatches, bundle_dirs,
     ref = run_reference(graph.n, graph, cps, record_events=False,
                         debug_checks=True)
     fast = run_fast(graph, cps)
-    lines = compare_runs(graph, ref, fast)
+    lines = compare_runs(ref, fast)
     if not lines:
         return
     entry = {"label": label, "n": graph.n, "m": graph.m,
@@ -287,6 +287,4 @@ def ledger_recompute(n, event_log, m):
             # "root" is bookkeeping (the paired push does the work); anything
             # else means the log is corrupt.
             raise ConfigError(f"unknown event kind {kind!r}")
-    state = DfsState(completed=frozenset(completed), stack=tuple(stack),
-                     undiscovered=tuple(sorted(undiscovered)), m=m)
-    return ledger_at(state, pairs)
+    return ledger_at(completed, undiscovered, pairs)

@@ -44,11 +44,10 @@ behaviour of the build they run on.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 
 import numpy as np
 
+from .diagnostics import atomic_write_text
 from .errors import ConfigError, StreamExhausted
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -88,10 +87,6 @@ class Xoshiro256StarStar:
         s3 = ((s3 << 45) | (s3 >> 19)) & MASK64
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return result
-
-    def next_double(self):
-        """Uniform double in [0, 1) from the top 53 bits of one u64."""
-        return (self.next_u64() >> 11) * _INV53
 
 
 class BitStream:
@@ -270,13 +265,6 @@ class Graph:
         upper = self.nbrs > rows
         return list(zip(rows[upper].tolist(), self.nbrs[upper].tolist()))
 
-    def has_edge(self, u, v):
-        if u > v:
-            u, v = v, u
-        row = self.nbrs[self.indptr[u]:self.indptr[u + 1]]
-        i = np.searchsorted(row, v)
-        return bool(i < len(row) and row[i] == v)
-
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
                 and np.array_equal(self.indptr, other.indptr)
@@ -365,18 +353,9 @@ def _gap_edges(n, p, seed):
 def write_graph_file(graph, path):
     """Write the canonical text format: "n m" then m lines "u v", 0-based,
     u < v, lex-sorted. The write is atomic (temp file + rename)."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".graph-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(f"{graph.n} {graph.m}\n")
-            for u, v in graph.edges():
-                f.write(f"{u} {v}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    lines = [f"{graph.n} {graph.m}"]
+    lines += [f"{u} {v}" for u, v in graph.edges()]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_graph_file(path):

@@ -42,11 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagnostics import (TrajectorySample, atomic_write_text,
-                          assemble_run_report, default_checkpoints,
-                          forest_diameter_from_parents)
+from .diagnostics import (assemble_run_report, default_checkpoints,
+                          forest_diameter_from_parents, trajectory_array)
 from .errors import ConfigError, InvariantViolation
-from .randomness import Graph, pair_count
+from .randomness import Graph
 
 MAX_REFERENCE_N = 5000
 
@@ -58,63 +57,42 @@ class QueryLedger:
     q_UT: int
 
 
-@dataclass(frozen=True)
-class DfsState:
-    """Snapshot of the exploration partition at one moment."""
-    completed: frozenset
-    stack: tuple
-    undiscovered: tuple
-    m: int
-
-
 @dataclass
 class ReferenceResult:
     report: object            # RunReport
-    samples: list             # TrajectorySample, one per reached checkpoint
+    samples: object           # int64 (k, 7): a TRAJECTORY_COLUMNS row per
+                              # reached checkpoint, ascending in m
     event_log: list | None
     parents: list             # DFS forest: parents[v] = parent or -1
     push_order: list          # vertices in push order
     push_m: list              # clock at each vertex's push
-    unqueried_pairs: int      # C(n,2) - dfs_query_total
     realized_graph: Graph | None
 
 
-def ledger_at(state, pairs):
-    """Classify queried pairs by the current membership in `state`.
+def ledger_at(completed, undiscovered, pairs):
+    """Classify queried pairs by the current membership of their endpoints:
+    in the set `completed` (S), in the set `undiscovered` (T), or else on
+    the stack (U).
 
     Pure function used for spot checks; the engine maintains the same counts
     incrementally. A pair with both endpoints undiscovered cannot have been
     queried and raises.
     """
-    in_s = state.completed
-    in_t = frozenset(state.undiscovered)
     q_st = q_su = q_ut = 0
     for a, b in pairs:
-        a_t = a in in_t
-        b_t = b in in_t
+        a_t = a in undiscovered
+        b_t = b in undiscovered
         if a_t and b_t:
             raise InvariantViolation("queried pair inside T", {"pair": (a, b)})
         if a_t or b_t:
             other = b if a_t else a
-            if other in in_s:
+            if other in completed:
                 q_st += 1
             else:
                 q_ut += 1
         else:
             q_su += 1
     return QueryLedger(q_st, q_su, q_ut)
-
-
-def write_event_csv(event_log, path):
-    """Columns (m, event_kind, vertex_or_pair, answer); pairs as "u:v"."""
-    lines = ["m,event_kind,vertex_or_pair,answer"]
-    for ev in event_log:
-        kind, m = ev[0], ev[1]
-        if kind == "query":
-            lines.append(f"{m},query,{ev[2]}:{ev[3]},{ev[4]}")
-        else:
-            lines.append(f"{m},{kind},{ev[2]},")
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
@@ -303,6 +281,7 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
     while cp_i < n_cps and cps[cp_i] == m:
         samples.append(_sample(m, size_s, 0, 0, q_st, q_su, q_ut))
         cp_i += 1
+    samples = trajectory_array(samples)
 
     realized = None
     if realize:
@@ -317,8 +296,7 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
         parents=parents, push_order=push_order, push_m=push_m, graph=graph)
     return ReferenceResult(
         report=report, samples=samples, event_log=events, parents=parents,
-        push_order=push_order, push_m=push_m,
-        unqueried_pairs=pair_count(n) - m, realized_graph=realized)
+        push_order=push_order, push_m=push_m, realized_graph=realized)
 
 
 def _sample(m, size_s, size_u, size_t, q_st, q_su, q_ut):
@@ -327,8 +305,7 @@ def _sample(m, size_s, size_u, size_t, q_st, q_su, q_ut):
                                  {"m": m, "q_ST": q_st, "q_SU": q_su,
                                   "q_UT": q_ut, "size_S": size_s,
                                   "size_T": size_t})
-    return TrajectorySample(m=m, size_S=size_s, size_U=size_u, size_T=size_t,
-                            q_ST=q_st, q_SU=q_su, q_UT=q_ut)
+    return m, size_s, size_u, size_t, q_st, q_su, q_ut
 
 
 def _realize_graph(n, parents, queried, stream):

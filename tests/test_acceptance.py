@@ -101,11 +101,12 @@ def test_criterion_8_ledger_exactness():
         stream = BitStream(BASE_SEED + i, p)
         res = run_reference(n, stream, cps, epsilon=eps, p=p,
                             seed=BASE_SEED + i, record_events=False)
-        for s in res.samples:
+        for row in res.samples.tolist():
             # The engine asserts these at sampling time too; re-checking
             # here keeps the criterion independent of that code path.
-            assert s.q_ST == s.size_S * s.size_T, s
-            assert s.q_ST + s.q_SU + s.q_UT == s.m, s
+            m, size_s, _, size_t, q_st, q_su, q_ut = row
+            assert q_st == size_s * size_t, row
+            assert q_st + q_su + q_ut == m, row
             checked += 1
     verdict("criterion 8 (ledger exactness)", checked > 1000,
             f"both identities exact at {checked} checkpoints over 10 seeds "

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import sysconfig
 
+import numpy as np
 import pytest
 
 from dfs_frontier import cli
@@ -335,7 +336,7 @@ class TestExecuteRun:
     def test_default_checkpoints_follow_epsilon(self):
         report, samples = execute_run(
             RunConfig(n=1000, epsilon=0.1, p=None, seed=2))
-        assert [s.m for s in samples[:3]] == [0, 81818, 82727]
+        assert samples[:3, 0].tolist() == [0, 81818, 82727]
         assert report.u_at_m1 is not None
 
     def test_p_only_run_has_no_moment_metrics(self):
@@ -343,12 +344,13 @@ class TestExecuteRun:
             RunConfig(n=500, epsilon=None, p=0.003, seed=2))
         assert report.u_at_m1 is None
         assert report.T_p_at_m1 is None
-        assert [s.m for s in samples][0] == 0
+        assert samples[0, 0] == 0
 
     def test_config_runs_twice(self):
         cfg = RunConfig(n=200, epsilon=0.1, p=None, seed=4)
-        first = execute_run(cfg)
-        assert execute_run(cfg) == first
+        report, samples = execute_run(cfg)
+        again, again_samples = execute_run(cfg)
+        assert again == report and np.array_equal(again_samples, samples)
         assert cfg.p is None
 
     def test_parser_round_trip(self):

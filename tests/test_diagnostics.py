@@ -5,14 +5,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from census_oracle import report_census, scipy_census
 from dfs_frontier.cli import evaluate_criteria
-from dfs_frontier.diagnostics import (METRIC_FIELDS, RunReport,
-                                      TrajectorySample, aggregate,
+from dfs_frontier.diagnostics import (METRIC_FIELDS, RunReport, aggregate,
                                       component_census, default_checkpoints,
                                       forest_diameter_from_parents,
                                       reference_moments,
@@ -348,8 +348,8 @@ class TestReports:
         assert len(lines) == 1 + len(METRIC_FIELDS)
 
     def test_trajectory_csv(self, tmp_path):
-        samples = [TrajectorySample(0, 0, 1, 9, 0, 0, 0),
-                   TrajectorySample(5, 2, 1, 7, 14, 3, 2)]
+        samples = np.array([[0, 0, 1, 9, 0, 0, 0],
+                            [5, 2, 1, 7, 14, 3, 2]], dtype=np.int64)
         path = tmp_path / "t.csv"
         write_trajectory_csv(samples, str(path))
         assert path.read_text() == (

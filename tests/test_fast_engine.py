@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfs_frontier.diagnostics import TrajectorySample
 from dfs_frontier.errors import ConfigError, InvariantViolation
 from dfs_frontier.fast_engine import (TIndex, checkpoint_schedule, run_fast,
                                       MAX_CHECKPOINTS)
@@ -108,7 +107,7 @@ class TestSmallTraces:
         res = run_fast(g, checkpoints=range(4))
         assert res.report.dfs_query_total == 2
         assert res.report.max_U == 3
-        assert res.unqueried_pairs == 1
+        assert pair_count(3) - res.report.dfs_query_total == 1
         assert res.parents.tolist() == [-1, 0, 1]
 
     def test_single_edge(self):
@@ -119,22 +118,22 @@ class TestSmallTraces:
         # Checkpoint m=1 lands inside the jump from frontier -1 to the
         # positive at label 2; settled partition with one extra U-T pair.
         # At m=3 the run has terminated (everything settles into S).
-        assert [(s.m, s.size_U, s.q_UT) for s in res.samples] == [
-            (0, 1, 0), (1, 1, 1), (2, 2, 1), (3, 0, 0)]
+        assert res.samples[:, [0, 2, 6]].tolist() == [
+            [0, 1, 0], [1, 1, 1], [2, 2, 1], [3, 0, 0]]
 
     def test_empty_graph(self):
         g = Graph.from_edges(4, [])
         res = run_fast(g, checkpoints=[6])
         assert res.report.dfs_query_total == 6
         assert res.report.max_U == 1
-        assert res.samples == [TrajectorySample(6, 4, 0, 0, 0, 6, 0)]
+        assert res.samples.tolist() == [[6, 4, 0, 0, 0, 6, 0]]
 
     def test_single_vertex(self):
         g = Graph.from_edges(1, [])
         res = run_fast(g, checkpoints=[0])
         assert res.report.dfs_query_total == 0
         assert res.report.max_U == 1
-        assert res.samples == [TrajectorySample(0, 1, 0, 0, 0, 0, 0)]
+        assert res.samples.tolist() == [[0, 1, 0, 0, 0, 0, 0]]
 
     def test_complete_graph(self):
         g = Graph.from_edges(7, [(u, v) for u in range(7)
@@ -157,6 +156,23 @@ class TestSmallTraces:
         with pytest.raises(InvariantViolation, match="at or below frontier"):
             run_fast(g)
 
+    def test_samples_are_int64_rows(self, python_loops):
+        # Both loops and the reference engine hand back one C-contiguous
+        # int64 row per reached checkpoint, ascending in m, the final
+        # clock's row included.
+        g = materialize_graph(40, 2.0 / 40, 4)
+        cps = [*checkpoint_schedule(40, None, 1), 10**6]
+        runs = {"native": run_fast(g, cps),
+                "python": python_loops(run_fast, g, cps),
+                "reference": run_reference(40, g, cps, record_events=False)}
+        for name, res in runs.items():
+            rows = res.samples
+            assert rows.dtype == np.int64 and rows.ndim == 2, name
+            assert rows.shape[1] == 7 and rows.flags.c_contiguous, name
+            total = res.report.dfs_query_total
+            assert rows[:, 0].tolist() == list(range(total + 1)), name
+            assert rows[-1].tolist() == [total, 40, 0, 0, 0, total, 0]
+
     def test_validation(self):
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ConfigError):
@@ -171,7 +187,7 @@ class TestAgainstReference:
         ref = run_reference(graph.n, graph, cps, record_events=False,
                             debug_checks=True)
         fast = run_fast(graph, cps)
-        mismatches = compare_runs(graph, ref, fast)
+        mismatches = compare_runs(ref, fast)
         assert not mismatches, mismatches
 
     def test_random_sparse(self):
@@ -200,7 +216,7 @@ class TestAgainstReference:
         a = run_fast(g, epsilon=0.3, p=1.3 / 300, seed=5)
         b = run_fast(g, epsilon=0.3, p=1.3 / 300, seed=5)
         assert a.report == b.report
-        assert a.samples == b.samples
+        assert np.array_equal(a.samples, b.samples)
 
 
 class TestRuntimeScaling:

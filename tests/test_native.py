@@ -41,7 +41,7 @@ def assert_same_run(graph, python_loops):
         a, b = getattr(native, name), getattr(python, name)
         assert a.dtype == b.dtype == np.int64, name
         assert np.array_equal(a, b), (name, graph.edges())
-    assert native.samples == python.samples, graph.edges()
+    assert np.array_equal(native.samples, python.samples), graph.edges()
     assert native.report == python.report, graph.edges()
     assert native.report.to_json() == python.report.to_json()
 
@@ -69,7 +69,8 @@ def test_explore_checkpoints_past_the_pair_space(lib, python_loops):
     graph = materialize_graph(30, 0.1, 3)
     cps = [0, 7, pair_count(30), pair_count(30) + 1, 10**30]
     native = run_fast(graph, cps)
-    assert native.samples == python_loops(run_fast, graph, cps).samples
+    assert np.array_equal(native.samples,
+                          python_loops(run_fast, graph, cps).samples)
 
 
 def test_explore_one_directional_rows(lib, python_loops):

@@ -1,27 +1,15 @@
 """Reference engine tests: hand-derived traces, ledger identities, stream
 and graph oracles, realization, and input validation."""
 
+import numpy as np
 import pytest
 
 from census_oracle import report_census, scipy_census
-from dfs_frontier.diagnostics import TrajectorySample
 from dfs_frontier.errors import (ConfigError, InvariantViolation,
                                  StreamExhausted)
 from dfs_frontier.randomness import BitStream, FixedBits, Graph, pair_count
-from dfs_frontier.reference_engine import (DfsState, QueryLedger,
-                                           ledger_at, run_reference,
-                                           write_event_csv)
-
-
-def snapshot_state(*, completed, stack, undiscovered, m):
-    """DfsState from plain collections, undiscovered in ascending order."""
-    return DfsState(completed=frozenset(completed), stack=tuple(stack),
-                    undiscovered=tuple(sorted(undiscovered)), m=m)
-
-
-def sample(m, s, u, t, q_st, q_su, q_ut):
-    return TrajectorySample(m=m, size_S=s, size_U=u, size_T=t,
-                            q_ST=q_st, q_SU=q_su, q_UT=q_ut)
+from dfs_frontier.reference_engine import (QueryLedger, ledger_at,
+                                           run_reference)
 
 
 class TestHandTraces:
@@ -32,15 +20,15 @@ class TestHandTraces:
         assert res.event_log == [("root", 0, 0, -1, -1),
                                  ("push", 0, 0, -1, -1),
                                  ("complete", 0, 0, -1, -1)]
-        assert res.samples == [sample(0, 1, 0, 0, 0, 0, 0)]
+        assert res.samples.tolist() == [[0, 1, 0, 0, 0, 0, 0]]
 
     def test_two_vertices_edge(self):
         res = run_reference(2, FixedBits([1]), checkpoints=[0, 1])
         assert res.report.dfs_query_total == 1
         assert res.report.max_U == 2
         assert res.parents == [-1, 0]
-        assert res.samples == [sample(0, 0, 1, 1, 0, 0, 0),
-                               sample(1, 2, 0, 0, 0, 1, 0)]
+        assert res.samples.tolist() == [[0, 0, 1, 1, 0, 0, 0],
+                                        [1, 2, 0, 0, 0, 1, 0]]
 
     def test_two_vertices_nonedge(self):
         res = run_reference(2, FixedBits([0]), checkpoints=[0, 1])
@@ -48,7 +36,7 @@ class TestHandTraces:
         assert res.report.max_U == 1
         assert res.parents == [-1, -1]
         # Both vertices root separately; the queried pair ends internal.
-        assert res.samples[-1] == sample(1, 2, 0, 0, 0, 1, 0)
+        assert res.samples[-1].tolist() == [1, 2, 0, 0, 0, 1, 0]
 
     def test_four_vertex_trace(self):
         # Bits [1,0,1,0,0]: root 0; (0,1)+ push 1; (1,2)-; (1,3)+ push 3;
@@ -63,14 +51,14 @@ class TestHandTraces:
         assert res.parents == [-1, 0, -1, 1]
         assert res.push_order == [0, 1, 3, 2]
         assert res.push_m == [0, 1, 5, 3]
-        assert res.unqueried_pairs == 1
-        assert res.samples == [
-            sample(0, 0, 1, 3, 0, 0, 0),
-            sample(1, 0, 2, 2, 0, 1, 0),
-            sample(2, 0, 2, 2, 0, 1, 1),
-            sample(3, 0, 3, 1, 0, 2, 1),
-            sample(4, 2, 1, 1, 2, 2, 0),
-            sample(5, 4, 0, 0, 0, 5, 0),
+        assert pair_count(4) - res.report.dfs_query_total == 1
+        assert res.samples.tolist() == [
+            [0, 0, 1, 3, 0, 0, 0],
+            [1, 0, 2, 2, 0, 1, 0],
+            [2, 0, 2, 2, 0, 1, 1],
+            [3, 0, 3, 1, 0, 2, 1],
+            [4, 2, 1, 1, 2, 2, 0],
+            [5, 4, 0, 0, 0, 5, 0],
         ]
         assert res.event_log == [
             ("root", 0, 0, -1, -1), ("push", 0, 0, -1, -1),
@@ -91,7 +79,7 @@ class TestHandTraces:
         # asked.
         assert res.report.dfs_query_total == 2
         assert res.report.max_U == 3
-        assert res.unqueried_pairs == 1
+        assert pair_count(3) - res.report.dfs_query_total == 1
         assert res.parents == [-1, 0, 1]
 
     def test_single_edge_graph(self):
@@ -101,15 +89,15 @@ class TestHandTraces:
         # m=3 and completes with nothing left to ask.
         assert res.report.dfs_query_total == 3
         assert res.report.max_U == 2
-        assert [(s.m, s.q_UT) for s in res.samples] == [
-            (0, 0), (1, 1), (2, 1), (3, 0)]
+        assert res.samples[:, [0, 6]].tolist() == [
+            [0, 0], [1, 1], [2, 1], [3, 0]]
 
     def test_empty_graph_queries_every_pair(self):
         g = Graph.from_edges(4, [])
         res = run_reference(4, g, checkpoints=[6])
         assert res.report.dfs_query_total == 6  # C(4,2)
         assert res.report.max_U == 1
-        assert res.samples == [sample(6, 4, 0, 0, 0, 6, 0)]
+        assert res.samples.tolist() == [[6, 4, 0, 0, 0, 6, 0]]
 
     def test_complete_graph_one_chain(self):
         g = Graph.from_edges(7, [(u, v) for u in range(7)
@@ -122,16 +110,13 @@ class TestHandTraces:
 
 class TestLedger:
     def test_ledger_at_classifies(self):
-        state = snapshot_state(completed={3}, stack=[0, 1],
-                               undiscovered={2}, m=4)
-        led = ledger_at(state, [(0, 1), (3, 2), (1, 2), (0, 3)])
+        # S = {3}, U = {0, 1}, T = {2}.
+        led = ledger_at({3}, {2}, [(0, 1), (3, 2), (1, 2), (0, 3)])
         assert led == QueryLedger(q_ST=1, q_SU_internal=2, q_UT=1)
 
     def test_ledger_at_rejects_tt_pair(self):
-        state = snapshot_state(completed=set(), stack=[0],
-                               undiscovered={1, 2}, m=0)
         with pytest.raises(InvariantViolation):
-            ledger_at(state, [(1, 2)])
+            ledger_at(set(), {1, 2}, [(1, 2)])
 
     def test_debug_checks_full_run(self):
         # Per-event identity checks plus global pair uniqueness on a
@@ -140,9 +125,9 @@ class TestLedger:
                             checkpoints=range(0, pair_count(200) + 1, 97),
                             debug_checks=True)
         assert res.report.dfs_query_total <= pair_count(200)
-        for s in res.samples:
-            assert s.q_ST == s.size_S * s.size_T
-            assert s.q_ST + s.q_SU + s.q_UT == s.m
+        for m, size_s, _, size_t, q_st, q_su, q_ut in res.samples.tolist():
+            assert q_st == size_s * size_t
+            assert q_st + q_su + q_ut == m
 
     def test_pair_uniqueness_all_streams_n4(self):
         # All 64 bit-scripts on C(4,2) = 6 bits; debug mode asserts no pair
@@ -155,8 +140,7 @@ class TestLedger:
     def test_final_bucket_is_internal(self):
         res = run_reference(3, FixedBits([0, 0, 0]),
                             checkpoints=[3])
-        s = res.samples[-1]
-        assert (s.q_ST, s.q_SU, s.q_UT) == (0, 3, 0)
+        assert res.samples[-1, 4:].tolist() == [0, 3, 0]  # q_ST, q_SU, q_UT
 
 
 class TestStreamRealization:
@@ -184,7 +168,7 @@ class TestStreamRealization:
         res = run_reference(4, FixedBits(bits), realize=True)
         forest = sum(1 for v in res.parents if v >= 0)
         assert res.realized_graph.m == forest + 1
-        assert res.realized_graph.has_edge(0, 3)  # the never-queried pair
+        assert 3 in res.realized_graph.neighbors(0)  # the never-queried pair
 
     def test_realize_needs_stream(self):
         g = Graph.from_edges(3, [(0, 1)])
@@ -198,7 +182,7 @@ class TestStreamRealization:
         rerun = run_reference(64, res.realized_graph,
                               checkpoints=range(0, 2017))
         assert res.event_log == rerun.event_log
-        assert res.samples == rerun.samples
+        assert np.array_equal(res.samples, rerun.samples)
 
 
 class TestValidation:
@@ -225,7 +209,7 @@ class TestValidation:
 
     def test_checkpoints_beyond_run_are_dropped(self):
         res = run_reference(2, FixedBits([1]), checkpoints=[0, 1, 50])
-        assert [s.m for s in res.samples] == [0, 1]
+        assert res.samples[:, 0].tolist() == [0, 1]
 
     def test_record_events_off(self):
         a = run_reference(4, FixedBits([1, 0, 1, 0, 0]))
@@ -245,16 +229,6 @@ class TestEventLogHelpers:
         assert (res.report.giant_size, res.report.second_size) == (3, 1)
         assert res.report.excess_total is None
 
-    def test_event_csv(self, tmp_path):
-        res = run_reference(4, FixedBits([1, 0, 1, 0, 0]))
-        path = str(tmp_path / "events.csv")
-        write_event_csv(res.event_log, path)
-        lines = open(path).read().strip().split("\n")
-        assert lines[0] == "m,event_kind,vertex_or_pair,answer"
-        assert lines[1] == "0,root,0,"
-        assert "1,query,0:1,1" in lines
-        assert len(lines) == 1 + len(res.event_log)
-
     def test_report_first_giant_matches_log_scan(self):
         # The realized graph holds edges the DFS never asked about; scipy's
         # components of it must still match the forest census, and the
@@ -269,10 +243,3 @@ class TestEventLogHelpers:
                               if ev[0] == "push" and ev[2] in members)
             assert first_push == res.report.first_giant_entry_m
 
-
-class TestDfsStateSnapshot:
-    def test_snapshot_fields(self):
-        st = snapshot_state(completed={1}, stack=[0], undiscovered={2, 3},
-                            m=2)
-        assert isinstance(st, DfsState)
-        assert st.undiscovered == (2, 3)
