@@ -310,7 +310,6 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
     }
     int64_t top = 0, npush = 0, size_t_ = n, size_s = 0, m = 0;
     int64_t max_u = 0, max_u_m = 0, min_word = 0, cp_i = 0;
-    int64_t fsum = -1;   /* frontier sum at the settled moment; -1 = stale */
     int64_t best = 0;    /* longest path among the completed subtrees */
 
     for (;;) {
@@ -355,33 +354,35 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
                 k = size_t_ - base;
             }
             if (k) {
-                while (cp_i < ncp && cps[cp_i] < m + k) {
-                    int64_t c = cps[cp_i];
-                    if (fsum < 0) {
-                        fsum = 0;
-                        for (int64_t j = 0; j < top; j++)
-                            if (stack[j].f >= 0)
-                                fsum += t_count_leq(&t, stack[j].f);
+                if (cp_i < ncp && cps[cp_i] < m + k) {
+                    /* q_UT at the settled moment m is the frontier sum, read
+                     * once, for the jump that holds a checkpoint. */
+                    int64_t fsum = 0;
+                    for (int64_t j = 0; j < top; j++)
+                        if (stack[j].f >= 0)
+                            fsum += t_count_leq(&t, stack[j].f);
+                    while (cp_i < ncp && cps[cp_i] < m + k) {
+                        int64_t c = cps[cp_i];
+                        int64_t q_ut = fsum + (c - m);
+                        int64_t q_st = size_s * size_t_;
+                        int64_t q_su = c - q_st - q_ut;
+                        if (q_su < 0) {
+                            rc = NEGATIVE_QSU;
+                            info[4] = c;
+                            info[5] = q_st;
+                            info[6] = q_ut;
+                            goto done;
+                        }
+                        int64_t *out = samples + 7 * cp_i;
+                        out[0] = c;
+                        out[1] = size_s;
+                        out[2] = top;
+                        out[3] = size_t_;
+                        out[4] = q_st;
+                        out[5] = q_su;
+                        out[6] = q_ut;
+                        cp_i++;
                     }
-                    int64_t q_ut = fsum + (c - m);
-                    int64_t q_st = size_s * size_t_;
-                    int64_t q_su = c - q_st - q_ut;
-                    if (q_su < 0) {
-                        rc = NEGATIVE_QSU;
-                        info[4] = c;
-                        info[5] = q_st;
-                        info[6] = q_ut;
-                        goto done;
-                    }
-                    int64_t *out = samples + 7 * cp_i;
-                    out[0] = c;
-                    out[1] = size_s;
-                    out[2] = top;
-                    out[3] = size_t_;
-                    out[4] = q_st;
-                    out[5] = q_su;
-                    out[6] = q_ut;
-                    cp_i++;
                 }
                 m += k;
             } else if (w >= 0) {
@@ -404,7 +405,6 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
                     }
                 }
                 size_s++;
-                fsum = -1;
                 continue;
             }
             fr->f = w;
@@ -427,7 +427,6 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
             max_u = top;
             max_u_m = m;
         }
-        fsum = -1;
     }
     info[0] = m;
     info[1] = max_u;

@@ -141,12 +141,12 @@ def cmd_sweep(args):
             f"runs exceeds the budget of {args.budget}; raise --budget "
             "to confirm")
     # Every check that can fail runs before the first run starts.
-    configs = [RunConfig(n=n, epsilon=eps, p=None, seed=args.seed + i,
-                         checkpoint_stride=args.checkpoint_stride).validate()
+    configs = [RunConfig(n=n, epsilon=eps, p=None,
+                         seed=args.seed + i).validate()
                for n, eps in cells for i in range(args.seeds)]
     dirs = set()
     for n, eps in cells:
-        checkpoint_schedule(n, eps, args.checkpoint_stride)
+        checkpoint_schedule(n, eps)
         name = _cell_dir_name(n, eps)
         if name in dirs:
             raise ConfigError(f"two cells map to the directory {name}; "
@@ -183,8 +183,7 @@ def cmd_sweep(args):
                       _gnuplot_script(cell_dirs))
     meta = {"created_unix": time.time(), "package_version": __version__,
             "base_seed": args.seed, "seeds": args.seeds,
-            "cells": [list(c) for c in cells],
-            "checkpoint_stride": args.checkpoint_stride}
+            "cells": [list(c) for c in cells]}
     atomic_write_text(os.path.join(args.out, "sweep_meta.json"),
                       json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
@@ -441,7 +440,6 @@ def build_parser():
     p_sweep.add_argument("--seeds", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, default=1,
                          help="base seed; run i uses base + i")
-    p_sweep.add_argument("--checkpoint-stride", type=int)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--budget", type=int, default=200,

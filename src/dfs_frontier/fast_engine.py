@@ -18,8 +18,8 @@ preceding the query at clock c+1. For a checkpoint inside a jump spanning
 clocks (m0, m0 + k], the partition is the settled one at m0 and
 q_UT(c) = q_UT(m0) + (c - m0), since every jump query before the last is a
 negative that adds one U-T pair. q_UT(m0) is the frontier sum over the stack
-(count of T-members <= f_v, per member), computed lazily per settled
-segment. That makes a checkpoint cost O(|U| log n), so dense schedules at
+(count of T-members <= f_v, per member), read once per jump that holds a
+checkpoint. That costs O(|U| log n) per such jump, so dense schedules at
 large n are expensive; the default schedule is {0, m1, m2}. q_ST = |S|*|T|
 and q_SU = m - q_ST - q_UT are used as identities here; the reference engine
 is the implementation that checks them against honestly maintained buckets.
@@ -237,7 +237,6 @@ def _explore_python(graph, cps):
     samples = []
     cp_i = 0
     ncp = len(cps)
-    fsum = None                  # frontier sum at the settled moment; None = stale
 
     while True:
         w = -1
@@ -269,20 +268,22 @@ def _explore_python(graph, cps):
             else:
                 k = size_t - base
             if k:
-                while cp_i < ncp and cps[cp_i] < m + k:
-                    c = cps[cp_i]
-                    if fsum is None:
-                        fsum = sum(tindex.count_leq(fr[1]) for fr in stack)
-                    q_ut = fsum + (c - m)
-                    q_st = size_s * size_t
-                    q_su = c - q_st - q_ut
-                    if q_su < 0:
-                        raise InvariantViolation(
-                            "negative q_SU at checkpoint",
-                            {"m": c, "q_ST": q_st, "q_UT": q_ut})
-                    samples.append((c, size_s, len(stack), size_t, q_st,
-                                    q_su, q_ut))
-                    cp_i += 1
+                if cp_i < ncp and cps[cp_i] < m + k:
+                    # q_UT at the settled moment m is the frontier sum, read
+                    # once, for the jump that holds a checkpoint.
+                    fsum = sum(tindex.count_leq(fr[1]) for fr in stack)
+                    while cp_i < ncp and cps[cp_i] < m + k:
+                        c = cps[cp_i]
+                        q_ut = fsum + (c - m)
+                        q_st = size_s * size_t
+                        q_su = c - q_st - q_ut
+                        if q_su < 0:
+                            raise InvariantViolation(
+                                "negative q_SU at checkpoint",
+                                {"m": c, "q_ST": q_st, "q_UT": q_ut})
+                        samples.append((c, size_s, len(stack), size_t, q_st,
+                                        q_su, q_ut))
+                        cp_i += 1
                 m += k
             elif w >= 0:
                 raise InvariantViolation("positive jump consumed no query",
@@ -300,7 +301,6 @@ def _explore_python(graph, cps):
                     elif d > up[5]:
                         up[5] = d
                 size_s += 1
-                fsum = None
                 continue
             fr[1] = w
             fr[2] = cur + 1
@@ -314,7 +314,6 @@ def _explore_python(graph, cps):
         if len(stack) > max_u:
             max_u = len(stack)
             max_u_m = m
-        fsum = None
 
     return (trajectory_array(samples), np.array(parents, dtype=np.int64),
             np.array(push_order, dtype=np.int64),

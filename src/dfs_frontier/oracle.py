@@ -188,8 +188,7 @@ def compare_runs(ref_result, fast_result):
 def _check_one(graph, label, out_dir, mismatches, bundle_dirs,
                stride=1):
     cps = checkpoint_schedule(graph.n, None, stride)
-    ref = run_reference(graph.n, graph, cps, record_events=False,
-                        debug_checks=True)
+    ref = run_reference(graph.n, graph, cps, record_events=False)
     fast = run_fast(graph, cps)
     lines = compare_runs(ref, fast)
     if not lines:

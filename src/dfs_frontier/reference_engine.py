@@ -18,8 +18,9 @@ by the CURRENT location of its endpoints, so counts are reclassified when a
 vertex changes set: every query is asked as U-T; a push makes the target's
 queried pairs internal; a completion turns the completing vertex's queried
 pairs that still point into T into S-T pairs. Two exact identities hold at
-every moment and are asserted at checkpoints (every event with
-debug_checks=True): q_ST = |S| * |T| and q_ST + q_SU + q_UT = m.
+every moment and are asserted after every complete, root push and query:
+q_ST = |S| * |T| and q_ST + q_SU + q_UT = m. Every query also asserts that
+its pair was not queried before.
 
 Answers come from an oracle: either an explicit Graph or a Bernoulli bit
 stream (anything with next_bit()). Post-run completion queries (the pairs
@@ -96,8 +97,7 @@ def ledger_at(completed, undiscovered, pairs):
 
 
 def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
-                  seed=None, realize=False, record_events=True,
-                  debug_checks=False):
+                  seed=None, realize=False, record_events=True):
     """Run the exploration protocol to termination.
 
     `oracle` is an explicit Graph or a bit stream with next_bit(). Trajectory
@@ -157,8 +157,6 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
     # same stack top, the scan continues forward; any push or pop resets it.
     sess_vertex = -1
     sess_pos = -1
-    if debug_checks:
-        seen_pairs = set()
 
     def unlink(v):
         nonlocal head
@@ -196,8 +194,7 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
                     q_st += 1
             if events is not None:
                 events.append(("complete", m, u, -1, -1))
-            if debug_checks and (q_st != size_s * size_t
-                                 or q_st + q_su + q_ut != m):
+            if q_st != size_s * size_t or q_st + q_su + q_ut != m:
                 raise InvariantViolation("ledger identity broken at complete",
                                          {"m": m, "vertex": u})
         if not stack:
@@ -225,14 +222,14 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
             if len(stack) > max_u:
                 max_u = len(stack)
                 max_u_m = m
-            if debug_checks and q_st != size_s * size_t:
+            if q_st != size_s * size_t or q_st + q_su + q_ut != m:
                 raise InvariantViolation("ledger identity broken at root",
                                          {"m": m, "vertex": r})
             continue
         # Settled; emit any checkpoint at the current clock before querying.
+        # The last event's check has just passed on this state.
         while cp_i < n_cps and cps[cp_i] == m:
-            samples.append(_sample(m, size_s, len(stack), size_t,
-                                   q_st, q_su, q_ut))
+            samples.append((m, size_s, len(stack), size_t, q_st, q_su, q_ut))
             cp_i += 1
         # One query: u (stack top) asks its smallest unqueried T-candidate.
         if graph_mode:
@@ -240,15 +237,12 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
         else:
             ans = oracle.next_bit()
         m += 1
+        if cand in q or u in queried[cand]:
+            raise InvariantViolation("pair queried twice",
+                                     {"pair": (u, cand), "m": m})
         q.add(cand)
         partners[cand].append(u)
         q_ut += 1
-        if debug_checks:
-            key = u * n + cand if u < cand else cand * n + u
-            if key in seen_pairs:
-                raise InvariantViolation("pair queried twice",
-                                         {"pair": (u, cand), "m": m})
-            seen_pairs.add(key)
         if events is not None:
             events.append(("query", m, u, cand, 1 if ans else 0))
         if ans:
@@ -273,13 +267,12 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
                 max_u_m = m
         else:
             sess_pos = nxt[cand]
-        if debug_checks and (q_st != size_s * size_t
-                             or q_st + q_su + q_ut != m):
+        if q_st != size_s * size_t or q_st + q_su + q_ut != m:
             raise InvariantViolation("ledger identity broken after query",
                                      {"m": m, "pair": (u, cand)})
 
     while cp_i < n_cps and cps[cp_i] == m:
-        samples.append(_sample(m, size_s, 0, 0, q_st, q_su, q_ut))
+        samples.append((m, size_s, 0, 0, q_st, q_su, q_ut))
         cp_i += 1
     samples = trajectory_array(samples)
 
@@ -297,15 +290,6 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
     return ReferenceResult(
         report=report, samples=samples, event_log=events, parents=parents,
         push_order=push_order, push_m=push_m, realized_graph=realized)
-
-
-def _sample(m, size_s, size_u, size_t, q_st, q_su, q_ut):
-    if q_st != size_s * size_t or q_st + q_su + q_ut != m:
-        raise InvariantViolation("ledger identity broken at checkpoint",
-                                 {"m": m, "q_ST": q_st, "q_SU": q_su,
-                                  "q_UT": q_ut, "size_S": size_s,
-                                  "size_T": size_t})
-    return m, size_s, size_u, size_t, q_st, q_su, q_ut
 
 
 def _realize_graph(n, parents, queried, stream):

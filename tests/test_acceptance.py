@@ -102,7 +102,7 @@ def test_criterion_8_ledger_exactness():
         res = run_reference(n, stream, cps, epsilon=eps, p=p,
                             seed=BASE_SEED + i, record_events=False)
         for row in res.samples.tolist():
-            # The engine asserts these at sampling time too; re-checking
+            # The engine asserts these after every event too; re-checking
             # here keeps the criterion independent of that code path.
             m, size_s, _, size_t, q_st, q_su, q_ut = row
             assert q_st == size_s * size_t, row

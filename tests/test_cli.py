@@ -372,8 +372,8 @@ def test_cli_surface():
     assert surface == {
         "run": {"--n", "--epsilon", "--p", "--seed", "--checkpoint-stride",
                 "--out"},
-        "sweep": {"--n", "--epsilon", "--seeds", "--seed",
-                  "--checkpoint-stride", "--out", "--jobs", "--budget"},
+        "sweep": {"--n", "--epsilon", "--seeds", "--seed", "--out", "--jobs",
+                  "--budget"},
         "verify": set(),
         "equivalence": {"--n-max", "--random-trials", "--seed", "--out"},
     }

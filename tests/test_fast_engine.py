@@ -184,8 +184,7 @@ class TestSmallTraces:
 class TestAgainstReference:
     def assert_equivalent(self, graph):
         cps = checkpoint_schedule(graph.n, None, 1)
-        ref = run_reference(graph.n, graph, cps, record_events=False,
-                            debug_checks=True)
+        ref = run_reference(graph.n, graph, cps, record_events=False)
         fast = run_fast(graph, cps)
         mismatches = compare_runs(ref, fast)
         assert not mismatches, mismatches

@@ -1,5 +1,5 @@
-"""Golden outputs: sha256 digests of whole runs, a graph file and the
-equivalence summary, so that a refactor cannot change a byte of them
+"""Golden outputs: sha256 digests of whole runs, a sweep, a graph file and
+the equivalence summary, so that a refactor cannot change a byte of them
 unnoticed. The digests were taken from the native kernel; the smaller run
 and the graph file are checked on the Python loops too."""
 
@@ -23,6 +23,9 @@ RUN_N2E4 = (["run", "--n", "20000", "--epsilon", "0.1", "--seed", "7",
 })
 GRAPH_N2000 = \
     "172aba022bb610299bff62734667bb989f4a56eb434c29c3d59b5c71d268d44b"
+SWEEP_N2000 = (["sweep", "--n", "2000", "--epsilon", "0.05,0.1,0.2",
+                "--seeds", "2", "--seed", "7"],
+    "e35f0d76fe240e603a90cbd3d97b6cc6aa157c2de42ba6aa620bc0ec2c10c916")
 EQUIVALENCE_STDOUT = \
     "4f0e43d118ff5c19efd5b118dd814e53a32266b570bcaf6f2a273a2b5fdc8c84"
 
@@ -35,6 +38,19 @@ def run_digests(argv, out):
     assert cli.main([*argv, "--out", str(out)]) == 0
     return {name: sha256((out / name).read_bytes()) for name in
             ("report.json", "trajectory.csv")}
+
+
+def tree_digest(root, skip):
+    """One sha256 over the sorted (relative path, file digest) pairs of
+    every file under root except those named in skip."""
+    h = hashlib.sha256()
+    files = sorted(p.relative_to(root).as_posix()
+                   for p in root.rglob("*") if p.is_file())
+    for rel in files:
+        if rel not in skip:
+            h.update(rel.encode() + b"\0")
+            h.update(hashlib.sha256((root / rel).read_bytes()).digest())
+    return h.hexdigest()
 
 
 def graph_digest(path):
@@ -51,6 +67,13 @@ def test_run_n2e4(tmp_path, python_loops):
     argv, want = RUN_N2E4
     assert run_digests(argv, tmp_path / "default") == want
     assert python_loops(run_digests, argv, tmp_path / "python") == want
+
+
+def test_sweep_n2000(tmp_path):
+    # sweep_meta.json carries a timestamp; every other file is pinned.
+    argv, want = SWEEP_N2000
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert tree_digest(tmp_path, {"sweep_meta.json"}) == want
 
 
 def test_graph_file(tmp_path, python_loops):

@@ -43,7 +43,7 @@ class TestHandTraces:
         # (3,2)-; 3 and 1 complete; (0,2)-; 0 completes; 2 roots and
         # completes. Worked out by hand, settled state per moment.
         res = run_reference(4, FixedBits([1, 0, 1, 0, 0]),
-                            checkpoints=range(7), debug_checks=True)
+                            checkpoints=range(7))
         assert res.report.dfs_query_total == 5
         assert res.report.max_U == 3
         assert res.report.max_U_argmax_m == 3
@@ -74,7 +74,7 @@ class TestHandTraces:
 
     def test_triangle_graph_oracle(self):
         g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        res = run_reference(3, g, checkpoints=range(4), debug_checks=True)
+        res = run_reference(3, g, checkpoints=range(4))
         # Chain 0-1-2 discovered in two positive queries; pair (0,2) never
         # asked.
         assert res.report.dfs_query_total == 2
@@ -84,7 +84,7 @@ class TestHandTraces:
 
     def test_single_edge_graph(self):
         g = Graph.from_edges(3, [(0, 2)])
-        res = run_reference(3, g, checkpoints=range(4), debug_checks=True)
+        res = run_reference(3, g, checkpoints=range(4))
         # (0,1)- at m=1, (0,2)+ at m=2, (2,1)- at m=3; vertex 1 roots at
         # m=3 and completes with nothing left to ask.
         assert res.report.dfs_query_total == 3
@@ -118,23 +118,23 @@ class TestLedger:
         with pytest.raises(InvariantViolation):
             ledger_at(set(), {1, 2}, [(1, 2)])
 
-    def test_debug_checks_full_run(self):
-        # Per-event identity checks plus global pair uniqueness on a
-        # supercritical run that exercises every transition kind.
+    def test_default_run_checks_every_event(self):
+        # A default run checks both identities after every event and that
+        # no pair repeats, on a supercritical run that exercises every
+        # transition kind.
         res = run_reference(200, BitStream(11, 2.0 / 200),
-                            checkpoints=range(0, pair_count(200) + 1, 97),
-                            debug_checks=True)
+                            checkpoints=range(0, pair_count(200) + 1, 97))
         assert res.report.dfs_query_total <= pair_count(200)
         for m, size_s, _, size_t, q_st, q_su, q_ut in res.samples.tolist():
             assert q_st == size_s * size_t
             assert q_st + q_su + q_ut == m
 
     def test_pair_uniqueness_all_streams_n4(self):
-        # All 64 bit-scripts on C(4,2) = 6 bits; debug mode asserts no pair
+        # All 64 bit-scripts on C(4,2) = 6 bits; the engine asserts no pair
         # is ever asked twice and the ledger identities hold throughout.
         for mask in range(64):
             bits = [(mask >> i) & 1 for i in range(6)]
-            res = run_reference(4, FixedBits(bits), debug_checks=True)
+            res = run_reference(4, FixedBits(bits))
             assert res.report.dfs_query_total <= 6
 
     def test_final_bucket_is_internal(self):
