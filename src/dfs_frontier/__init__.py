@@ -5,25 +5,24 @@ diagnostics for the supercritical stack/frontier picture."""
 __version__ = "0.1.0"
 
 from .diagnostics import (AggregateReport, ComponentCensus, MetricSummary,
-                          Moments, RunReport, aggregate, component_census,
+                          Moments, RunReport, RunResult, aggregate,
+                          checkpoint_schedule, component_census,
                           default_checkpoints, reference_moments)
 from .errors import ConfigError, InvariantViolation, StreamExhausted
-from .fast_engine import FastResult, TIndex, checkpoint_schedule, run_fast
+from .fast_engine import TIndex, run_fast
 from .oracle import (SmallGraphEnumeration, equivalence_sweep,
                      exact_longest_path, ledger_recompute,
                      random_equivalence_trials)
 from .randomness import (BitStream, FixedBits, Graph, Xoshiro256StarStar,
                          materialize_graph, pair_count, read_graph_file,
                          splitmix64, write_graph_file)
-from .reference_engine import (QueryLedger, ReferenceResult, ledger_at,
-                               run_reference)
+from .reference_engine import QueryLedger, ledger_at, run_reference
 
 __all__ = [
     "AggregateReport", "BitStream", "ComponentCensus", "ConfigError",
-    "FastResult", "FixedBits", "Graph", "InvariantViolation",
-    "MetricSummary", "Moments", "QueryLedger", "ReferenceResult",
-    "RunReport", "SmallGraphEnumeration", "StreamExhausted", "TIndex",
-    "Xoshiro256StarStar", "aggregate",
+    "FixedBits", "Graph", "InvariantViolation", "MetricSummary", "Moments",
+    "QueryLedger", "RunReport", "RunResult", "SmallGraphEnumeration",
+    "StreamExhausted", "TIndex", "Xoshiro256StarStar", "aggregate",
     "checkpoint_schedule", "component_census", "default_checkpoints",
     "equivalence_sweep", "exact_longest_path", "ledger_at",
     "ledger_recompute", "materialize_graph", "pair_count",

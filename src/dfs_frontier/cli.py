@@ -28,11 +28,12 @@ from multiprocessing import Pool
 
 from . import __version__
 from .diagnostics import (RunReport, aggregate, atomic_write_text,
-                          write_aggregate_csv, write_seed_table_csv,
-                          write_trajectory_csv)
+                          checkpoint_schedule, write_aggregate_csv,
+                          write_seed_table_csv, write_trajectory_csv)
 from .errors import ConfigError, InvariantViolation
-from .fast_engine import checkpoint_schedule, run_fast
-from .oracle import equivalence_sweep, random_equivalence_trials
+from .fast_engine import run_fast
+from .oracle import (RANDOM_SIZES, equivalence_sweep,
+                     random_equivalence_trials)
 from .randomness import materialize_graph
 
 MAX_SEED = (1 << 64) - 1
@@ -230,12 +231,11 @@ def cmd_equivalence(args):
           f"{len(res.mismatches)} mismatches")
     mismatches.extend(res.mismatches)
     if args.random_trials:
-        sizes = (6, 16, 64, 256)
         res2 = random_equivalence_trials(
-            args.random_trials * len(sizes), sizes=sizes,
-            seed=args.seed, out_dir=args.out)
+            args.random_trials * len(RANDOM_SIZES), seed=args.seed,
+            out_dir=args.out)
         print(f"random trials: {res2.graphs_checked} graphs "
-              f"({args.random_trials} per size in {list(sizes)}), "
+              f"({args.random_trials} per size in {list(RANDOM_SIZES)}), "
               f"{len(res2.mismatches)} mismatches")
         mismatches.extend(res2.mismatches)
     for entry in mismatches[:5]:
@@ -454,7 +454,7 @@ def build_parser():
     p_eq = sub.add_parser("equivalence", help="engine comparison")
     p_eq.add_argument("--n-max", type=int, default=5)
     p_eq.add_argument("--random-trials", type=int, default=0,
-                      help="random graphs per size in {6,16,64,256}")
+                      help=f"random graphs per size in {list(RANDOM_SIZES)}")
     p_eq.add_argument("--seed", type=int, default=1)
     p_eq.add_argument("--out", help="directory for mismatch bundles")
     p_eq.set_defaults(func=cmd_equivalence)

@@ -27,8 +27,6 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Moments:
-    n: int
-    epsilon: float
     m1: int
     m2: int
 
@@ -58,18 +56,56 @@ def reference_moments(n, epsilon):
         raise ConfigError(
             f"m2 = {m2} does not fit in the pair space C({n},2) = {n*(n-1)//2}; "
             "epsilon is too large for this n")
-    return Moments(n=n, epsilon=epsilon, m1=m1, m2=m2)
+    return Moments(m1=m1, m2=m2)
+
+
+MAX_CHECKPOINTS = 2_000_000
+
+
+def checkpoint_schedule(n, epsilon=None, stride=None):
+    """Sorted checkpoint moments: 0 and every multiple of `stride` up to
+    C(n,2), plus the reference moments m1 and m2 when epsilon is given.
+
+    An epsilon whose m2 does not fit in the pair space is rejected, as is a
+    schedule of more than MAX_CHECKPOINTS moments.
+    """
+    total = n * (n - 1) // 2
+    cps = {0}
+    if epsilon is not None:
+        mom = reference_moments(n, epsilon)
+        cps.add(mom.m1)
+        cps.add(mom.m2)
+    if stride is not None:
+        if stride < 1:
+            raise ConfigError(f"stride must be >= 1, got {stride}")
+        count = total // stride + 1
+        if count > MAX_CHECKPOINTS:
+            raise ConfigError(
+                f"stride {stride} yields {count} checkpoints; "
+                f"cap is {MAX_CHECKPOINTS}")
+        cps.update(range(0, total + 1, stride))
+    return sorted(cps)
 
 
 def default_checkpoints(n, epsilon=None):
-    """Minimal checkpoint set: moment 0, plus m1 and m2 when they exist."""
-    if epsilon is None:
-        return [0]
+    """Minimal checkpoint set: checkpoint_schedule(n, epsilon), or [0] when
+    epsilon's reference moments do not exist."""
     try:
-        mom = reference_moments(n, epsilon)
+        return checkpoint_schedule(n, epsilon)
     except ConfigError:
         return [0]
-    return [0, mom.m1, mom.m2]
+
+
+def engine_checkpoints(n, epsilon, checkpoints):
+    """An engine's `checkpoints` argument as sorted, distinct int moments:
+    default_checkpoints(n, epsilon) when it is None. A negative moment is
+    rejected."""
+    if checkpoints is None:
+        checkpoints = default_checkpoints(n, epsilon)
+    cps = sorted(set(int(c) for c in checkpoints))
+    if cps and cps[0] < 0:
+        raise ConfigError("checkpoints must be >= 0")
+    return cps
 
 
 # ----------------------------------------------------------------------
@@ -261,18 +297,32 @@ def aggregate(reports):
     return AggregateReport(config=shared, seeds=seeds, metrics=metrics)
 
 
-def assemble_run_report(*, config, n, epsilon, p, samples, max_U,
-                        max_U_argmax_m, dfs_query_total, longest_forest_path,
-                        parents, push_order, push_m, graph=None):
-    """Build a RunReport from raw engine outputs.
+@dataclass
+class RunResult:
+    """What an engine returns. The forest is int64 arrays from run_fast
+    and lists from run_reference, which alone fills the last two fields."""
+    report: RunReport
+    samples: np.ndarray       # trajectory: a row per reached checkpoint
+    parents: object           # DFS forest: parents[v] = parent or -1
+    push_order: object        # vertices in push order
+    push_m: object            # clock at each vertex's push
+    event_log: list | None = None
+    realized_graph: object = None
 
-    Shared by both engines so report semantics cannot drift between them.
+
+def assemble_run_report(engine, *, n, epsilon, p, seed, samples, max_U,
+                        max_U_argmax_m, dfs_query_total, longest_forest_path,
+                        parents, push_order, push_m, edge_count=None):
+    """Build a RunReport, config included, from raw engine outputs.
+
+    Shared by the engines so report semantics cannot drift between them.
     Each engine computes `longest_forest_path` its own way (the fast engine
     during its walk, the reference engine with forest_diameter_from_parents),
     so the oracle's report comparison checks one against the other. Fields
-    whose inputs are unavailable (no epsilon, checkpoint not reached, no
-    graph to count edges for excess_total) come out None. `samples` is a
-    trajectory array; m1 and m2 are looked up in its column m.
+    whose inputs are unavailable (no epsilon or no reference moments,
+    checkpoint not reached, no edge count of the whole graph for
+    excess_total) come out None. `samples` is a trajectory array; m1 and m2
+    are looked up in its column m.
     """
     def row_at(moment):
         i = int(np.searchsorted(samples[:, 0], moment))
@@ -280,28 +330,28 @@ def assemble_run_report(*, config, n, epsilon, p, samples, max_U,
             return samples[i].tolist()
         return None
 
-    u_at_m1 = q_ut_at_m1 = None
-    t_p_at_m1 = t_p_at_m2 = None
-    if epsilon is not None and 0.0 < epsilon < 1.0:
-        try:
-            mom = reference_moments(n, epsilon)
-        except ConfigError:
-            mom = None
-        if mom is not None:
-            s1 = row_at(mom.m1)
-            s2 = row_at(mom.m2)
-            if s1 is not None:
-                _, _, u_at_m1, size_t, _, _, q_ut_at_m1 = s1
-                if p is not None:
-                    t_p_at_m1 = size_t * p
-            if s2 is not None and p is not None:
-                t_p_at_m2 = s2[3] * p          # size_T
+    try:
+        mom = None if epsilon is None else reference_moments(n, epsilon)
+    except ConfigError:
+        mom = None
+    s1 = s2 = None
+    if mom is not None:
+        s1, s2 = row_at(mom.m1), row_at(mom.m2)
+    u_at_m1 = q_ut_at_m1 = t_p_at_m1 = t_p_at_m2 = None
+    if s1 is not None:
+        _, _, u_at_m1, size_t, _, _, q_ut_at_m1 = s1
+        if p is not None:
+            t_p_at_m1 = size_t * p
+    if s2 is not None and p is not None:
+        t_p_at_m2 = s2[3] * p          # size_T
     census = component_census(parents, push_order)
     excess_total = None
-    if graph is not None:
-        excess_total = graph.m - n + census.n_components
+    if edge_count is not None:
+        excess_total = edge_count - n + census.n_components
     return RunReport(
-        config=config, u_at_m1=u_at_m1, q_UT_at_m1=q_ut_at_m1, max_U=max_U,
+        config={"n": n, "epsilon": epsilon, "p": p, "seed": seed,
+                "engine": engine},
+        u_at_m1=u_at_m1, q_UT_at_m1=q_ut_at_m1, max_U=max_U,
         max_U_argmax_m=max_U_argmax_m,
         longest_forest_path=longest_forest_path,
         excess_total=excess_total, giant_size=census.giant_size,

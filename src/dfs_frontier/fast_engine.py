@@ -46,16 +46,13 @@ small graph.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (assemble_run_report, default_checkpoints,
-                          reference_moments, trajectory_array)
+from .diagnostics import (RunResult, assemble_run_report, engine_checkpoints,
+                          trajectory_array)
 from .errors import ConfigError, InvariantViolation
 from .randomness import pair_count
-
-MAX_CHECKPOINTS = 2_000_000
 
 
 class TIndex:
@@ -100,56 +97,17 @@ class TIndex:
             i += i & -i
 
 
-def checkpoint_schedule(n, epsilon=None, stride=None):
-    """Sorted checkpoint moments: 0 and every multiple of `stride` up to
-    C(n,2), plus the reference moments m1 and m2 when epsilon is given.
-
-    An epsilon whose m2 does not fit in the pair space is rejected, as is a
-    schedule of more than MAX_CHECKPOINTS moments.
-    """
-    total = pair_count(n)
-    cps = {0}
-    if epsilon is not None:
-        mom = reference_moments(n, epsilon)
-        cps.add(mom.m1)
-        cps.add(mom.m2)
-    if stride is not None:
-        if stride < 1:
-            raise ConfigError(f"stride must be >= 1, got {stride}")
-        count = total // stride + 1
-        if count > MAX_CHECKPOINTS:
-            raise ConfigError(
-                f"stride {stride} yields {count} checkpoints; "
-                f"cap is {MAX_CHECKPOINTS}")
-        cps.update(range(0, total + 1, stride))
-    return sorted(cps)
-
-
-@dataclass
-class FastResult:
-    report: object            # RunReport
-    samples: np.ndarray       # int64 (k, 7): a TRAJECTORY_COLUMNS row per
-                              # reached checkpoint, ascending in m
-    parents: np.ndarray       # int64 DFS forest: parents[v] = parent or -1
-    push_order: np.ndarray    # int64 vertices in push order
-    push_m: np.ndarray        # int64 clock of each vertex's push
-
-
 def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
     """Run the exploration protocol on a materialized graph.
 
-    Deterministic given the graph. Returns a FastResult whose report and
+    Deterministic given the graph. Returns a RunResult whose report and
     samples match run_reference on the same graph moment for moment. An
     adjacency row out of ascending order raises InvariantViolation.
     """
     n = graph.n
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    if checkpoints is None:
-        checkpoints = default_checkpoints(n, epsilon)
-    cps = sorted(set(int(c) for c in checkpoints))
-    if cps and cps[0] < 0:
-        raise ConfigError("checkpoints must be >= 0")
+    cps = engine_checkpoints(n, epsilon, checkpoints)
 
     from . import _native
     lib = _native.kernel()
@@ -161,15 +119,12 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
     if len(samples) < len(cps) and cps[len(samples)] == m:
         samples = np.concatenate((samples, [(m, n, 0, 0, 0, m, 0)]))
 
-    config = {"n": n, "epsilon": epsilon, "p": p, "seed": seed,
-              "engine": "fast"}
     report = assemble_run_report(
-        config=config, n=n, epsilon=epsilon, p=p, samples=samples,
+        "fast", n=n, epsilon=epsilon, p=p, seed=seed, samples=samples,
         max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
         longest_forest_path=lfp, parents=parents, push_order=push_order,
-        push_m=push_m, graph=graph)
-    return FastResult(report=report, samples=samples, parents=parents,
-                      push_order=push_order, push_m=push_m)
+        push_m=push_m, edge_count=graph.m)
+    return RunResult(report, samples, parents, push_order, push_m)
 
 
 # Kernel return codes of explore() in _kernel.c that are invariant

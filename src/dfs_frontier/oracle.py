@@ -21,14 +21,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .diagnostics import RunReport, atomic_write_text, write_trajectory_csv
+from .diagnostics import (RunReport, atomic_write_text, checkpoint_schedule,
+                          write_trajectory_csv)
 from .errors import ConfigError
-from .fast_engine import checkpoint_schedule, run_fast
+from .fast_engine import run_fast
 from .randomness import Graph, materialize_graph, write_graph_file
 from .reference_engine import ledger_at, run_reference
 
 MAX_EXACT_COMPONENT = 20
 MAX_ENUMERATION_N = 5
+RANDOM_SIZES = (6, 16, 64, 256)
 RANDOM_DENSITY_LADDER = (0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0)
 MAX_MISMATCH_BUNDLES = 10
 
@@ -232,7 +234,7 @@ def equivalence_sweep(n_max=MAX_ENUMERATION_N, out_dir=None):
                        bundle_dirs=bundle_dirs)
 
 
-def random_equivalence_trials(trials, sizes=(6, 16, 64, 256), seed=0,
+def random_equivalence_trials(trials, sizes=RANDOM_SIZES, seed=0,
                               out_dir=None):
     """Randomized engine comparison at sizes beyond the enumeration.
 

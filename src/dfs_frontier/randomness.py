@@ -257,13 +257,18 @@ class Graph:
     def neighbors(self, v):
         return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
 
-    def edges(self):
-        """The edges as (u, v) pairs, u < v, lex-sorted: the entries of each
-        row above its vertex."""
+    def edge_arrays(self):
+        """The edges as int64 arrays (eu, ev), u < v, lex-sorted: the
+        entries of each row above its vertex."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64),
                          np.diff(self.indptr))
         upper = self.nbrs > rows
-        return list(zip(rows[upper].tolist(), self.nbrs[upper].tolist()))
+        return rows[upper], self.nbrs[upper]
+
+    def edges(self):
+        """The edges as a list of (u, v) pairs, in edge_arrays' order."""
+        eu, ev = self.edge_arrays()
+        return list(zip(eu.tolist(), ev.tolist()))
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -352,10 +357,14 @@ def _gap_edges(n, p, seed):
 
 def write_graph_file(graph, path):
     """Write the canonical text format: "n m" then m lines "u v", 0-based,
-    u < v, lex-sorted. The write is atomic (temp file + rename)."""
-    lines = [f"{graph.n} {graph.m}"]
-    lines += [f"{u} {v}" for u, v in graph.edges()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    u < v, lex-sorted, formatted from the CSR 4096 edges at a time. The
+    write is atomic (temp file + rename)."""
+    pairs = np.column_stack(graph.edge_arrays())
+    parts = [f"{graph.n} {graph.m}\n"]
+    for i in range(0, len(pairs), 4096):
+        block = pairs[i:i + 4096]
+        parts.append("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
+    atomic_write_text(path, "".join(parts))
 
 
 def read_graph_file(path):

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagnostics import (assemble_run_report, default_checkpoints,
+from .diagnostics import (RunResult, assemble_run_report, engine_checkpoints,
                           forest_diameter_from_parents, trajectory_array)
 from .errors import ConfigError, InvariantViolation
 from .randomness import Graph
@@ -56,18 +56,6 @@ class QueryLedger:
     q_ST: int
     q_SU_internal: int
     q_UT: int
-
-
-@dataclass
-class ReferenceResult:
-    report: object            # RunReport
-    samples: object           # int64 (k, 7): a TRAJECTORY_COLUMNS row per
-                              # reached checkpoint, ascending in m
-    event_log: list | None
-    parents: list             # DFS forest: parents[v] = parent or -1
-    push_order: list          # vertices in push order
-    push_m: list              # clock at each vertex's push
-    realized_graph: Graph | None
 
 
 def ledger_at(completed, undiscovered, pairs):
@@ -125,11 +113,7 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
         nbr_sets = [set(nbrs[indptr[v]:indptr[v + 1]]) for v in range(n)]
         if realize:
             raise ConfigError("realize=True needs a stream oracle")
-    if checkpoints is None:
-        checkpoints = default_checkpoints(n, epsilon)
-    cps = sorted(set(int(c) for c in checkpoints))
-    if cps and cps[0] < 0:
-        raise ConfigError("checkpoints must be >= 0")
+    cps = engine_checkpoints(n, epsilon, checkpoints)
 
     # T as a doubly linked list over labels, ascending.
     nxt = list(range(1, n + 1))
@@ -280,16 +264,14 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
     if realize:
         realized = _realize_graph(n, parents, queried, oracle)
     graph = oracle if graph_mode else realized
-    config = {"n": n, "epsilon": epsilon, "p": p, "seed": seed,
-              "engine": "reference"}
     report = assemble_run_report(
-        config=config, n=n, epsilon=epsilon, p=p, samples=samples,
+        "reference", n=n, epsilon=epsilon, p=p, seed=seed, samples=samples,
         max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
         longest_forest_path=forest_diameter_from_parents(parents, push_order),
-        parents=parents, push_order=push_order, push_m=push_m, graph=graph)
-    return ReferenceResult(
-        report=report, samples=samples, event_log=events, parents=parents,
-        push_order=push_order, push_m=push_m, realized_graph=realized)
+        parents=parents, push_order=push_order, push_m=push_m,
+        edge_count=None if graph is None else graph.m)
+    return RunResult(report, samples, parents, push_order, push_m,
+                     event_log=events, realized_graph=realized)
 
 
 def _realize_graph(n, parents, queried, stream):

@@ -11,7 +11,8 @@ run with pytest -s to see them on a green suite.
 import pytest
 
 from dfs_frontier.cli import RunConfig, evaluate_criteria, execute_run
-from dfs_frontier.fast_engine import checkpoint_schedule, run_fast
+from dfs_frontier.diagnostics import checkpoint_schedule
+from dfs_frontier.fast_engine import run_fast
 from dfs_frontier.oracle import (equivalence_sweep, exact_longest_path,
                                  random_equivalence_trials)
 from dfs_frontier.randomness import BitStream, materialize_graph

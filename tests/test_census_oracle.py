@@ -4,7 +4,7 @@ graph and on the random-trial graphs, through both engines."""
 from census_oracle import report_census, scipy_census
 
 from dfs_frontier.fast_engine import run_fast
-from dfs_frontier.oracle import (RANDOM_DENSITY_LADDER,
+from dfs_frontier.oracle import (RANDOM_DENSITY_LADDER, RANDOM_SIZES,
                                  SmallGraphEnumeration)
 from dfs_frontier.randomness import materialize_graph
 from dfs_frontier.reference_engine import run_reference
@@ -28,7 +28,7 @@ def test_every_graph_up_to_five_vertices():
 def test_random_trial_graphs():
     # The graphs random_equivalence_trials draws: every size crossed with
     # every density of the ladder, twice.
-    sizes = (6, 16, 64, 256)
+    sizes = RANDOM_SIZES
     for i in range(2 * len(sizes) * len(RANDOM_DENSITY_LADDER)):
         n = sizes[i % len(sizes)]
         c = RANDOM_DENSITY_LADDER[(i // len(sizes))

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from census_oracle import report_census, scipy_census
 from dfs_frontier.cli import evaluate_criteria
-from dfs_frontier.diagnostics import (METRIC_FIELDS, RunReport, aggregate,
-                                      component_census, default_checkpoints,
+from dfs_frontier.diagnostics import (METRIC_FIELDS, Moments, RunReport,
+                                      aggregate, component_census,
+                                      default_checkpoints,
                                       forest_diameter_from_parents,
                                       reference_moments,
                                       write_aggregate_csv,
@@ -22,6 +23,7 @@ from dfs_frontier.diagnostics import (METRIC_FIELDS, RunReport, aggregate,
 from dfs_frontier.errors import ConfigError
 from dfs_frontier.fast_engine import run_fast
 from dfs_frontier.randomness import Graph, materialize_graph
+from dfs_frontier.reference_engine import run_reference
 
 
 def census_of(graph):
@@ -106,6 +108,18 @@ class TestReferenceMoments:
         assert default_checkpoints(1000, 0.1) == [0, 81818, 82727]
         assert default_checkpoints(1000) == [0]
         assert default_checkpoints(4, 0.9) == [0]  # infeasible moments
+
+    def test_moment_fields_when_m1_and_m2_are_zero(self):
+        # Both moments floor to 0 here, so the schedule is [0] alone; the
+        # fields still read its row, taken after the first root push.
+        eps, p = 0.1, 1.1 / 3
+        assert reference_moments(3, eps) == Moments(m1=0, m2=0)
+        assert default_checkpoints(3, eps) == [0]
+        graph = materialize_graph(3, p, 5)
+        for res in (run_fast(graph, epsilon=eps, p=p),
+                    run_reference(3, graph, epsilon=eps, p=p)):
+            assert res.report.u_at_m1 == 1
+            assert res.report.T_p_at_m1 == res.report.T_p_at_m2 == 2 * p
 
 
 class TestComponentCensus:

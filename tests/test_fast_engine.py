@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfs_frontier.diagnostics import MAX_CHECKPOINTS, checkpoint_schedule
 from dfs_frontier.errors import ConfigError, InvariantViolation
-from dfs_frontier.fast_engine import (TIndex, checkpoint_schedule, run_fast,
-                                      MAX_CHECKPOINTS)
+from dfs_frontier.fast_engine import TIndex, run_fast
 from dfs_frontier.oracle import compare_runs
 from dfs_frontier.randomness import Graph, materialize_graph, pair_count
 from dfs_frontier.reference_engine import run_reference

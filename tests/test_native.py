@@ -15,8 +15,10 @@ import pytest
 from dfs_frontier import _native, cli
 from dfs_frontier.diagnostics import forest_diameter_from_parents
 from dfs_frontier.errors import ConfigError
-from dfs_frontier.fast_engine import checkpoint_schedule, run_fast
-from dfs_frontier.oracle import RANDOM_DENSITY_LADDER, SmallGraphEnumeration
+from dfs_frontier.diagnostics import checkpoint_schedule
+from dfs_frontier.fast_engine import run_fast
+from dfs_frontier.oracle import (RANDOM_DENSITY_LADDER, RANDOM_SIZES,
+                                 SmallGraphEnumeration)
 from dfs_frontier.randomness import (BitStream, Graph, Xoshiro256StarStar,
                                      _gap_edges, materialize_graph,
                                      pair_count, read_graph_file,
@@ -55,7 +57,7 @@ def test_explore_every_graph_up_to_five_vertices(lib, python_loops):
 def test_explore_random_trial_graphs(lib, python_loops):
     # The graphs random_equivalence_trials draws, every size crossed with
     # every density of the ladder, twice; here at stride 1 at every size.
-    sizes = (6, 16, 64, 256)
+    sizes = RANDOM_SIZES
     for i in range(2 * len(sizes) * len(RANDOM_DENSITY_LADDER)):
         n = sizes[i % len(sizes)]
         c = RANDOM_DENSITY_LADDER[(i // len(sizes))

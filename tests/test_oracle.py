@@ -194,7 +194,7 @@ class TestEquivalenceSweep:
 
 class TestLedgerRecompute:
     def run_logged(self, n, p, seed):
-        from dfs_frontier.fast_engine import checkpoint_schedule
+        from dfs_frontier.diagnostics import checkpoint_schedule
         from dfs_frontier.randomness import BitStream
         cps = checkpoint_schedule(n, None, max(1, n // 7))
         return cps, run_reference(n, BitStream(seed, p), cps, p=p, seed=seed,
