@@ -99,13 +99,15 @@ def default_checkpoints(n, epsilon=None):
 def engine_checkpoints(n, epsilon, checkpoints):
     """An engine's `checkpoints` argument as sorted, distinct int moments:
     default_checkpoints(n, epsilon) when it is None. A negative moment is
-    rejected."""
+    rejected; moments past C(n, 2), which the clock never reaches, are
+    dropped."""
     if checkpoints is None:
         checkpoints = default_checkpoints(n, epsilon)
     cps = sorted(set(int(c) for c in checkpoints))
     if cps and cps[0] < 0:
         raise ConfigError("checkpoints must be >= 0")
-    return cps
+    pairs = n * (n - 1) // 2
+    return [c for c in cps if c <= pairs]
 
 
 # ----------------------------------------------------------------------

@@ -45,14 +45,11 @@ small graph.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
 from .diagnostics import (RunResult, assemble_run_report, engine_checkpoints,
                           trajectory_array)
 from .errors import ConfigError, InvariantViolation
-from .randomness import pair_count
 
 
 class TIndex:
@@ -141,15 +138,14 @@ _NO_MEMORY = 5
 def _explore_native(lib, graph, cps):
     """The exploration loop in C, on the graph's checked int64 CSR."""
     n = graph.n
-    # m never exceeds C(n, 2): later checkpoints are never reached.
-    reach = np.array(cps[:bisect_right(cps, pair_count(n))], dtype=np.int64)
+    cp_arr = np.array(cps, dtype=np.int64)
     parents = np.empty(n, dtype=np.int64)
     push_order = np.empty(n, dtype=np.int64)
     push_m = np.empty(n, dtype=np.int64)
-    rows = np.empty((len(reach), 7), dtype=np.int64)
+    rows = np.empty((len(cp_arr), 7), dtype=np.int64)
     info = np.zeros(8, dtype=np.int64)
-    rc = lib.explore(n, graph.indptr, graph.nbrs, len(graph.nbrs), reach,
-                     len(reach), parents, push_order, push_m, rows, info)
+    rc = lib.explore(n, graph.indptr, graph.nbrs, len(graph.nbrs), cp_arr,
+                     len(cp_arr), parents, push_order, push_m, rows, info)
     m, max_u, max_u_m, taken, *context, lfp = info.tolist()
     if rc in _KERNEL_VIOLATIONS:
         message, keys = _KERNEL_VIOLATIONS[rc]

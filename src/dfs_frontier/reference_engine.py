@@ -18,9 +18,11 @@ by the CURRENT location of its endpoints, so counts are reclassified when a
 vertex changes set: every query is asked as U-T; a push makes the target's
 queried pairs internal; a completion turns the completing vertex's queried
 pairs that still point into T into S-T pairs. Two exact identities hold at
-every moment and are asserted after every complete, root push and query:
-q_ST = |S| * |T| and q_ST + q_SU + q_UT = m. Every query also asserts that
-its pair was not queried before.
+every moment: q_ST = |S| * |T| and q_ST + q_SU + q_UT = m. The main loop
+takes one event per pass (a complete, a root push, or a query together with
+the push its positive answer causes), pushes roots and discovered vertices
+through one push block, and checks both identities once after each event.
+Every query also asserts that its pair was not queried before.
 
 Answers come from an oracle: either an explicit Graph or a Bernoulli bit
 stream (anything with next_bit()). Post-run completion queries (the pairs
@@ -137,123 +139,100 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
     samples = []
     cp_i = 0
     n_cps = len(cps)
-    # Candidate scan session: within one run of consecutive negatives by the
-    # same stack top, the scan continues forward; any push or pop resets it.
+    # Candidate scan session: each pass scans the current stack top from
+    # sess_pos, which restarts at head whenever a different vertex is on
+    # top, as after every push or pop. Within one run of consecutive
+    # negatives by the same top, the scan continues forward.
     sess_vertex = -1
     sess_pos = -1
 
-    def unlink(v):
-        nonlocal head
-        pv, nx = prv[v], nxt[v]
-        if pv >= 0:
-            nxt[pv] = nx
-        else:
-            head = nx
-        if nx >= 0:
-            prv[nx] = pv
-
+    # One event per pass: the top completes, a root is pushed, or the top
+    # asks one query, whose positive answer pushes in the same pass.
     while True:
-        # Settle: complete exhausted stack tops (zero-cost).
-        cand = -1
-        while stack:
+        v = -1                   # the vertex pushed this pass
+        if stack:
             u = stack[-1]
             if sess_vertex != u:
                 sess_vertex = u
                 sess_pos = head
-            t = sess_pos
+            cand = sess_pos
             q = queried[u]
-            while t >= 0 and t in q:
-                t = nxt[t]
-            sess_pos = t
-            if t >= 0:
-                cand = t
-                break
-            stack.pop()
-            sess_vertex = -1
-            code[u] = 2
-            size_s += 1
-            for t2 in queried[u]:
-                if not code[t2]:        # still in T: U-T pair becomes S-T
-                    q_ut -= 1
-                    q_st += 1
-            if events is not None:
-                events.append(("complete", m, u, -1, -1))
-            if q_st != size_s * size_t or q_st + q_su + q_ut != m:
-                raise InvariantViolation("ledger identity broken at complete",
-                                         {"m": m, "vertex": u})
-        if not stack:
-            if head < 0:
-                break
-            r = head
-            unlink(r)
-            code[r] = 1
-            size_t -= 1
-            # A root leaves T like any push: pairs queried at it (by what is
-            # now all of S, since U is empty) become internal.
-            for x in partners[r]:
-                if code[x] == 1:
-                    q_ut -= 1
+            while cand >= 0 and cand in q:
+                cand = nxt[cand]
+            if cand < 0:
+                kind = "complete"
+                stack.pop()
+                code[u] = 2
+                size_s += 1
+                for t in q:
+                    if not code[t]:     # still in T: U-T pair becomes S-T
+                        q_ut -= 1
+                        q_st += 1
+                if events is not None:
+                    events.append(("complete", m, u, -1, -1))
+            else:
+                # Settled: emit any checkpoint at the current clock, then
+                # u asks its smallest unqueried T-candidate.
+                while cp_i < n_cps and cps[cp_i] == m:
+                    samples.append((m, size_s, len(stack), size_t,
+                                    q_st, q_su, q_ut))
+                    cp_i += 1
+                kind = "query"
+                if graph_mode:
+                    ans = cand in nbr_sets[u]
                 else:
-                    q_st -= 1
-                q_su += 1
-            stack.append(r)
-            push_order.append(r)
-            push_m[r] = m
-            sess_vertex = -1
+                    ans = oracle.next_bit()
+                m += 1
+                if cand in q or u in queried[cand]:
+                    raise InvariantViolation("pair queried twice",
+                                             {"pair": (u, cand), "m": m})
+                q.add(cand)
+                partners[cand].append(u)
+                q_ut += 1
+                if events is not None:
+                    events.append(("query", m, u, cand, 1 if ans else 0))
+                if ans:
+                    v = cand
+                else:
+                    sess_pos = nxt[cand]
+        elif head >= 0:
+            kind = "root"
+            u = -1
+            v = head
             if events is not None:
-                events.append(("root", m, r, -1, -1))
-                events.append(("push", m, r, -1, -1))
-            if len(stack) > max_u:
-                max_u = len(stack)
-                max_u_m = m
-            if q_st != size_s * size_t or q_st + q_su + q_ut != m:
-                raise InvariantViolation("ledger identity broken at root",
-                                         {"m": m, "vertex": r})
-            continue
-        # Settled; emit any checkpoint at the current clock before querying.
-        # The last event's check has just passed on this state.
-        while cp_i < n_cps and cps[cp_i] == m:
-            samples.append((m, size_s, len(stack), size_t, q_st, q_su, q_ut))
-            cp_i += 1
-        # One query: u (stack top) asks its smallest unqueried T-candidate.
-        if graph_mode:
-            ans = cand in nbr_sets[u]
+                events.append(("root", m, v, -1, -1))
         else:
-            ans = oracle.next_bit()
-        m += 1
-        if cand in q or u in queried[cand]:
-            raise InvariantViolation("pair queried twice",
-                                     {"pair": (u, cand), "m": m})
-        q.add(cand)
-        partners[cand].append(u)
-        q_ut += 1
-        if events is not None:
-            events.append(("query", m, u, cand, 1 if ans else 0))
-        if ans:
-            unlink(cand)
-            code[cand] = 1
+            break
+        if v >= 0:
+            # v leaves T for the top of U: the pairs queried at it become
+            # internal, whether asked from U or (before a root) from S.
+            pv, nx = prv[v], nxt[v]
+            if pv >= 0:
+                nxt[pv] = nx
+            else:
+                head = nx
+            if nx >= 0:
+                prv[nx] = pv
+            code[v] = 1
             size_t -= 1
-            for x in partners[cand]:
+            for x in partners[v]:
                 if code[x] == 1:        # U-T pair becomes U-internal
                     q_ut -= 1
                 else:                   # S-T pair becomes S/U-internal
                     q_st -= 1
                 q_su += 1
-            stack.append(cand)
-            parents[cand] = u
-            push_order.append(cand)
-            push_m[cand] = m
-            sess_vertex = -1
+            stack.append(v)
+            parents[v] = u
+            push_order.append(v)
+            push_m[v] = m
             if events is not None:
-                events.append(("push", m, cand, -1, -1))
+                events.append(("push", m, v, -1, -1))
             if len(stack) > max_u:
                 max_u = len(stack)
                 max_u_m = m
-        else:
-            sess_pos = nxt[cand]
         if q_st != size_s * size_t or q_st + q_su + q_ut != m:
-            raise InvariantViolation("ledger identity broken after query",
-                                     {"m": m, "pair": (u, cand)})
+            raise InvariantViolation(f"ledger identity broken at {kind}",
+                                     {"m": m, "top": u, "pushed": v})
 
     while cp_i < n_cps and cps[cp_i] == m:
         samples.append((m, size_s, 0, 0, q_st, q_su, q_ut))

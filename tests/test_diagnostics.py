@@ -15,6 +15,7 @@ from dfs_frontier.cli import evaluate_criteria
 from dfs_frontier.diagnostics import (METRIC_FIELDS, Moments, RunReport,
                                       aggregate, component_census,
                                       default_checkpoints,
+                                      engine_checkpoints,
                                       forest_diameter_from_parents,
                                       reference_moments,
                                       write_aggregate_csv,
@@ -108,6 +109,14 @@ class TestReferenceMoments:
         assert default_checkpoints(1000, 0.1) == [0, 81818, 82727]
         assert default_checkpoints(1000) == [0]
         assert default_checkpoints(4, 0.9) == [0]  # infeasible moments
+
+    def test_engine_checkpoints_sorted_and_within_pair_space(self):
+        # C(4, 2) = 6: later moments are never reached, whatever the engine.
+        assert engine_checkpoints(4, None, [7, 6, 0, 3, 3, 10**30]) == \
+            [0, 3, 6]
+        assert engine_checkpoints(1, None, [0, 1]) == [0]
+        with pytest.raises(ConfigError):
+            engine_checkpoints(4, None, [-1, 2])
 
     def test_moment_fields_when_m1_and_m2_are_zero(self):
         # Both moments floor to 0 here, so the schedule is [0] alone; the

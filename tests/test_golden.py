@@ -1,12 +1,16 @@
-"""Golden outputs: sha256 digests of whole runs, a sweep, a graph file and
-the equivalence summary, so that a refactor cannot change a byte of them
-unnoticed. The digests were taken from the native kernel; the smaller run
-and the graph file are checked on the Python loops too."""
+"""Golden outputs: sha256 digests of whole runs, a sweep, a graph file, the
+equivalence summary and the reference engine's own outputs, so that a
+refactor cannot change a byte of them unnoticed. The command-line digests
+were taken from the native kernel; the smaller run and the graph file are
+checked on the Python loops too."""
 
 import hashlib
+import itertools
 
 from dfs_frontier import cli
-from dfs_frontier.randomness import materialize_graph, write_graph_file
+from dfs_frontier.randomness import (BitStream, FixedBits, materialize_graph,
+                                     pair_count, write_graph_file)
+from dfs_frontier.reference_engine import run_reference
 
 RUN_N1E6 = (["run", "--n", "1000000", "--epsilon", "0.1", "--seed", "7"], {
     "report.json":
@@ -28,6 +32,8 @@ SWEEP_N2000 = (["sweep", "--n", "2000", "--epsilon", "0.05,0.1,0.2",
     "e35f0d76fe240e603a90cbd3d97b6cc6aa157c2de42ba6aa620bc0ec2c10c916")
 EQUIVALENCE_STDOUT = \
     "4f0e43d118ff5c19efd5b118dd814e53a32266b570bcaf6f2a273a2b5fdc8c84"
+REFERENCE_RUNS = \
+    "fefbf48248ee82fbc41b836d0e65ee98e8be00f95d2751868681c32d88d8a64a"
 
 
 def sha256(data):
@@ -58,6 +64,35 @@ def graph_digest(path):
     return sha256(path.read_bytes())
 
 
+def reference_runs():
+    """run_reference on every bit script at n <= 4, three stream runs and
+    five graphs; `equivalence` compares graph mode only."""
+    for n in (2, 3, 4):
+        for bits in itertools.product((0, 1), repeat=pair_count(n)):
+            yield run_reference(n, FixedBits(bits), realize=True,
+                                checkpoints=range(pair_count(n) + 1))
+    yield run_reference(200, BitStream(11, 2 / 200), epsilon=0.1,
+                        checkpoints=range(0, pair_count(200) + 1, 97))
+    for seed in range(5):
+        yield run_reference(64, BitStream(seed, 1.5 / 64), realize=True,
+                            checkpoints=range(pair_count(64) + 1))
+        yield run_reference(300, materialize_graph(300, 1.1 / 300, seed))
+
+
+def reference_digest():
+    """One sha256 over each run's event log, samples, report and realized
+    CSR, in run order."""
+    h = hashlib.sha256()
+    for res in reference_runs():
+        h.update(repr(res.event_log).encode())
+        h.update(res.samples.tobytes())
+        h.update(res.report.to_json().encode())
+        if res.realized_graph is not None:
+            h.update(res.realized_graph.indptr.tobytes())
+            h.update(res.realized_graph.nbrs.tobytes())
+    return h.hexdigest()
+
+
 def test_run_n1e6(tmp_path):
     argv, want = RUN_N1E6
     assert run_digests(argv, tmp_path) == want
@@ -86,3 +121,7 @@ def test_equivalence_stdout(capsys):
             "--seed", "7"]
     assert cli.main(argv) == 0
     assert sha256(capsys.readouterr().out.encode()) == EQUIVALENCE_STDOUT
+
+
+def test_reference_runs():
+    assert reference_digest() == REFERENCE_RUNS
