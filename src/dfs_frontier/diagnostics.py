@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+from bisect import bisect_right
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
@@ -103,11 +104,10 @@ def engine_checkpoints(n, epsilon, checkpoints):
     dropped."""
     if checkpoints is None:
         checkpoints = default_checkpoints(n, epsilon)
-    cps = sorted(set(int(c) for c in checkpoints))
+    cps = sorted(set(map(int, checkpoints)))
     if cps and cps[0] < 0:
         raise ConfigError("checkpoints must be >= 0")
-    pairs = n * (n - 1) // 2
-    return [c for c in cps if c <= pairs]
+    return cps[:bisect_right(cps, n * (n - 1) // 2)]
 
 
 # ----------------------------------------------------------------------
@@ -137,8 +137,11 @@ def component_census(parents, push_order):
     order = np.asarray(push_order, dtype=np.int64)
     parent = np.asarray(parents, dtype=np.int64)
     starts = np.flatnonzero(parent[order] < 0)
-    sizes = np.diff(starts, append=n)
-    g = int(np.argmax(sizes))
+    sizes = np.empty_like(starts)
+    sizes[:-1] = starts[1:]
+    sizes[-1] = n
+    sizes -= starts
+    g = int(sizes.argmax())
     giant_size = int(sizes[g])
     sizes[g] = 0
     return ComponentCensus(giant_size=giant_size,
@@ -185,7 +188,8 @@ TRAJECTORY_COLUMNS = ("m", "size_S", "size_U", "size_T", "q_ST", "q_SU", "q_UT")
 
 
 def trajectory_array(rows):
-    """The trajectory of a sequence of TRAJECTORY_COLUMNS tuples."""
+    """The trajectory of a sequence of TRAJECTORY_COLUMNS tuples, or of
+    their flat concatenation (one run of seven ints per row)."""
     return np.array(rows, dtype=np.int64).reshape(-1, len(TRAJECTORY_COLUMNS))
 
 

@@ -18,11 +18,17 @@ by the CURRENT location of its endpoints, so counts are reclassified when a
 vertex changes set: every query is asked as U-T; a push makes the target's
 queried pairs internal; a completion turns the completing vertex's queried
 pairs that still point into T into S-T pairs. Two exact identities hold at
-every moment: q_ST = |S| * |T| and q_ST + q_SU + q_UT = m. The main loop
-takes one event per pass (a complete, a root push, or a query together with
-the push its positive answer causes), pushes roots and discovered vertices
-through one push block, and checks both identities once after each event.
-Every query also asserts that its pair was not queried before.
+every moment: q_ST = |S| * |T| and q_ST + q_SU + q_UT = m.
+
+Each pass of the main loop is the stack top's whole run of queries, the
+span a jump of the fast loops covers, asked here one query at a time: the
+top scans T from its head and asks its unqueried candidates in ascending
+order until a positive answer pushes the target or none is left and the
+top completes; with U empty, the pass pushes a root. Roots and discovered
+vertices go through one push block. Every query asserts that its pair was
+not queried before and is followed by a check of both identities, and the
+identities are checked once more after the push or complete that ends the
+pass.
 
 Answers come from an oracle: either an explicit Graph or a Bernoulli bit
 stream (anything with next_bit()). Post-run completion queries (the pairs
@@ -136,28 +142,45 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
     max_u = 0
     max_u_m = 0
     events = [] if record_events else None
-    samples = []
-    cp_i = 0
-    n_cps = len(cps)
-    # Candidate scan session: each pass scans the current stack top from
-    # sess_pos, which restarts at head whenever a different vertex is on
-    # top, as after every push or pop. Within one run of consecutive
-    # negatives by the same top, the scan continues forward.
-    sess_vertex = -1
-    sess_pos = -1
+    samples = []                 # trajectory rows, flattened
+    cp_iter = iter(cps)
+    next_cp = next(cp_iter, -1)  # -1: no checkpoint left
 
-    # One event per pass: the top completes, a root is pushed, or the top
-    # asks one query, whose positive answer pushes in the same pass.
+    # One pass per run of queries by the stack top u, one query per inner
+    # iteration. Every push or pop starts a new pass, so u's scan of T
+    # always starts at head and skips the candidates u has already asked.
     while True:
-        v = -1                   # the vertex pushed this pass
         if stack:
             u = stack[-1]
-            if sess_vertex != u:
-                sess_vertex = u
-                sess_pos = head
-            cand = sess_pos
             q = queried[u]
-            while cand >= 0 and cand in q:
+            cand = head
+            while cand >= 0:
+                if cand not in q:
+                    # Settled: the sample at the current clock precedes
+                    # the query asked at the next.
+                    if m == next_cp:
+                        samples += (m, size_s, len(stack), size_t,
+                                    q_st, q_su, q_ut)
+                        next_cp = next(cp_iter, -1)
+                    if graph_mode:
+                        ans = cand in nbr_sets[u]
+                    else:
+                        ans = oracle.next_bit()
+                    m += 1
+                    if cand in q or u in queried[cand]:
+                        raise InvariantViolation("pair queried twice",
+                                                 {"pair": (u, cand), "m": m})
+                    q.add(cand)
+                    partners[cand].append(u)
+                    q_ut += 1
+                    if events is not None:
+                        events.append(("query", m, u, cand, 1 if ans else 0))
+                    if q_st != size_s * size_t or q_st + q_su + q_ut != m:
+                        raise InvariantViolation(
+                            "ledger identity broken at query",
+                            {"m": m, "top": u, "pushed": -1})
+                    if ans:
+                        break
                 cand = nxt[cand]
             if cand < 0:
                 kind = "complete"
@@ -170,31 +193,10 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
                         q_st += 1
                 if events is not None:
                     events.append(("complete", m, u, -1, -1))
+                v = -1
             else:
-                # Settled: emit any checkpoint at the current clock, then
-                # u asks its smallest unqueried T-candidate.
-                while cp_i < n_cps and cps[cp_i] == m:
-                    samples.append((m, size_s, len(stack), size_t,
-                                    q_st, q_su, q_ut))
-                    cp_i += 1
-                kind = "query"
-                if graph_mode:
-                    ans = cand in nbr_sets[u]
-                else:
-                    ans = oracle.next_bit()
-                m += 1
-                if cand in q or u in queried[cand]:
-                    raise InvariantViolation("pair queried twice",
-                                             {"pair": (u, cand), "m": m})
-                q.add(cand)
-                partners[cand].append(u)
-                q_ut += 1
-                if events is not None:
-                    events.append(("query", m, u, cand, 1 if ans else 0))
-                if ans:
-                    v = cand
-                else:
-                    sess_pos = nxt[cand]
+                kind = "push"
+                v = cand
         elif head >= 0:
             kind = "root"
             u = -1
@@ -234,9 +236,8 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
             raise InvariantViolation(f"ledger identity broken at {kind}",
                                      {"m": m, "top": u, "pushed": v})
 
-    while cp_i < n_cps and cps[cp_i] == m:
-        samples.append((m, size_s, 0, 0, q_st, q_su, q_ut))
-        cp_i += 1
+    if m == next_cp:
+        samples += (m, size_s, 0, 0, q_st, q_su, q_ut)
     samples = trajectory_array(samples)
 
     realized = None

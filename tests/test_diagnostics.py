@@ -17,7 +17,7 @@ from dfs_frontier.diagnostics import (METRIC_FIELDS, Moments, RunReport,
                                       default_checkpoints,
                                       engine_checkpoints,
                                       forest_diameter_from_parents,
-                                      reference_moments,
+                                      reference_moments, trajectory_array,
                                       write_aggregate_csv,
                                       write_seed_table_csv,
                                       write_trajectory_csv)
@@ -379,3 +379,14 @@ class TestReports:
             "m,size_S,size_U,size_T,q_ST,q_SU,q_UT\n"
             "0,0,1,9,0,0,0\n"
             "5,2,1,7,14,3,2\n")
+
+    def test_trajectory_array_rows_or_flat(self):
+        rows = [(0, 0, 1, 9, 0, 0, 0), (5, 2, 1, 7, 14, 3, 2),
+                (9, 4, 0, 6, 24, 3, 0)]
+        flat = [x for row in rows for x in row]
+        want = np.array(rows, dtype=np.int64)
+        for given in (rows, flat):
+            arr = trajectory_array(given)
+            assert arr.dtype == np.int64
+            assert np.array_equal(arr, want)
+        assert trajectory_array([]).shape == (0, 7)

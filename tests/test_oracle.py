@@ -232,6 +232,24 @@ class TestLedgerRecompute:
             assert (led.q_ST, led.q_SU_internal, led.q_UT) == (
                 q_st, q_su, q_ut), m
 
+    def test_samples_match_replay_for_every_script_n4(self):
+        # Every 6-bit script at n = 4, sampled at every moment: each row,
+        # taken inside the top's run of queries or after its last one,
+        # agrees with the ledger rebuilt from the event log.
+        from dfs_frontier.randomness import FixedBits
+        n = 4
+        for bits in itertools.product((0, 1), repeat=6):
+            res = run_reference(n, FixedBits(bits), range(7),
+                                record_events=True)
+            rows = res.samples.tolist()
+            assert [r[0] for r in rows] == list(
+                range(res.report.dfs_query_total + 1)), bits
+            for m, size_s, size_u, size_t, q_st, q_su, q_ut in rows:
+                assert size_s + size_u + size_t == n, (bits, m)
+                led = ledger_recompute(n, res.event_log, m)
+                assert (led.q_ST, led.q_SU_internal, led.q_UT) == (
+                    q_st, q_su, q_ut), (bits, m)
+
     def test_identities_at_every_prefix(self):
         n = 12
         _, res = self.run_logged(n, 0.3, 101)
