@@ -12,6 +12,11 @@
  * must be compiled without -ffast-math and without FP contraction (-std=c99
  * turns contraction off), so that u, log1p(-u) and the quotient round
  * exactly as in Python.
+ *
+ * Vertex labels, CSR offsets and the forest's labels (parents, push order)
+ * are int32_t; clocks, pair ranks and trajectory rows are int64_t. So n and
+ * the CSR's entry count are below 2^31: the Python callers reject larger
+ * graphs before they allocate, and csr_build and explore check again.
  */
 #include <math.h>
 #include <stdint.h>
@@ -40,9 +45,10 @@ static uint64_t rotl(uint64_t x, int k)
  * the walk carries that step across the rows it ends, so no rank is decoded.
  * Writes at most cap edges to (eu, ev) and returns how many it wrote. When
  * the next gap reaches past the last pair, pos[0] becomes C(n, 2): the
- * stream is done. */
+ * stream is done. The caller keeps n below 2^31, so labels fit the int32
+ * edges. */
 int64_t gap_draw(uint64_t *s, double log1mp, int64_t n, int64_t *pos,
-                 int64_t *eu, int64_t *ev, int64_t cap)
+                 int32_t *eu, int32_t *ev, int64_t cap)
 {
     int64_t total = n * (n - 1) / 2;
     int64_t i = pos[0], u = pos[1], v = pos[2], k = 0;
@@ -71,8 +77,8 @@ int64_t gap_draw(uint64_t *s, double log1mp, int64_t n, int64_t *pos,
             v = ++u;
         }
         v += step;
-        eu[k] = u;
-        ev[k] = v;
+        eu[k] = (int32_t)u;
+        ev[k] = (int32_t)v;
         k++;
     }
     pos[0] = i;
@@ -88,11 +94,14 @@ int64_t gap_draw(uint64_t *s, double log1mp, int64_t n, int64_t *pos,
  * sort is needed: the degrees give the row starts, and two passes over the
  * edges place the lower, then the upper neighbours. indptr holds n + 1
  * entries and nbrs 2 ne. Returns 0, or 1 when an endpoint lies outside
- * [0, n); the counting pass checks each one before it is used as an index,
+ * [0, n) or the CSR is past the 32-bit cap (n or 2 ne above INT32_MAX);
+ * the counting pass checks each endpoint before it is used as an index,
  * so nothing is written to nbrs then and indptr is left undefined. */
-int csr_build(int64_t n, const int64_t *eu, const int64_t *ev, int64_t ne,
-              int64_t *indptr, int64_t *nbrs)
+int csr_build(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
+              int32_t *indptr, int32_t *nbrs)
 {
+    if (n > INT32_MAX || ne > INT32_MAX / 2)
+        return 1;
     for (int64_t x = 0; x <= n; x++)
         indptr[x] = 0;
     for (int64_t i = 0; i < ne; i++) {
@@ -102,8 +111,8 @@ int csr_build(int64_t n, const int64_t *eu, const int64_t *ev, int64_t ne,
         indptr[ev[i]]++;
     }
     for (int64_t x = 0, start = 0; x <= n; x++) {
-        int64_t deg = indptr[x];
-        indptr[x] = start;
+        int32_t deg = indptr[x];
+        indptr[x] = (int32_t)start;
         start += deg;
     }
     /* indptr[x] is row x's cursor: its next free entry. */
@@ -189,7 +198,8 @@ typedef struct {
  * order the walk visits them in. Adjacency rows hold slots and labels are
  * looked up per slot, so the walk reads memory close to what it read last,
  * where in label order nearly every step was a cache miss. A vertex's
- * parent and push moment are written under its label when it is pushed.
+ * parent (int32, -1 for a root) and push moment (int64) are written under
+ * its label when it is pushed, and the label itself to push_order.
  * The layout decides nothing: roots, scan order and counts all go by label,
  * so any slot assignment gives the same result.
  *
@@ -203,9 +213,9 @@ typedef struct {
  * EXPLORE_* code; BAD_ADJACENCY means the CSR arrays are malformed (or too
  * large for 32-bit slots) and nothing is valid. The caller has checked the
  * CSR already; these checks keep a bad array from reaching memory. */
-int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
-            int64_t nnz, const int64_t *cps, int64_t ncp, int64_t *parents,
-            int64_t *push_order, int64_t *push_m, int64_t *samples,
+int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
+            int64_t nnz, const int64_t *cps, int64_t ncp, int32_t *parents,
+            int32_t *push_order, int64_t *push_m, int64_t *samples,
             int64_t *info)
 {
     if (n < 1 || n >= INT32_MAX - AHEAD || nnz >= INT32_MAX || indptr[0] < 0)
@@ -251,7 +261,7 @@ int explore(int64_t n, const int64_t *indptr, const int64_t *nbrs,
             }
             if (nbrs[j] >= v)
                 continue;
-            int32_t a = uf_find(comp, (int32_t)nbrs[j]), b = uf_find(comp, v);
+            int32_t a = uf_find(comp, nbrs[j]), b = uf_find(comp, v);
             if (a < b)
                 comp[b] = a;
             else if (b < a)

@@ -99,14 +99,17 @@ def _build():
 
 
 def _declare(lib):
+    """Argument types of the three entry points: labels and CSR offsets are
+    int32 arrays (lab), clocks, ranks and counts int64 (arr)."""
     i64 = ctypes.c_int64
     arr = ndpointer(np.int64, flags="C_CONTIGUOUS")
+    lab = ndpointer(np.int32, flags="C_CONTIGUOUS")
     lib.gap_draw.argtypes = [ndpointer(np.uint64, flags="C_CONTIGUOUS"),
-                             ctypes.c_double, i64, arr, arr, arr, i64]
+                             ctypes.c_double, i64, arr, lab, lab, i64]
     lib.gap_draw.restype = i64
-    lib.csr_build.argtypes = [i64, arr, arr, i64, arr, arr]
+    lib.csr_build.argtypes = [i64, lab, lab, i64, lab, lab]
     lib.csr_build.restype = ctypes.c_int
-    lib.explore.argtypes = [i64, arr, arr, i64, arr, i64, arr, arr, arr,
+    lib.explore.argtypes = [i64, lab, lab, i64, arr, i64, lab, lab, arr,
                             arr, arr]
     lib.explore.restype = ctypes.c_int
     return lib

@@ -131,11 +131,12 @@ def component_census(parents, push_order):
     starting at a root (parents[v] < 0), so the sizes are the gaps between
     consecutive root positions. Roots are pushed in increasing label order,
     hence the first largest tree is the largest component with the smallest
-    minimum label.
+    minimum label. Lists or arrays of any integer dtype are read as given,
+    without a widening copy.
     """
     n = len(parents)
-    order = np.asarray(push_order, dtype=np.int64)
-    parent = np.asarray(parents, dtype=np.int64)
+    order = np.asarray(push_order)
+    parent = np.asarray(parents)
     starts = np.flatnonzero(parent[order] < 0)
     sizes = np.empty_like(starts)
     sizes[:-1] = starts[1:]
@@ -305,8 +306,9 @@ def aggregate(reports):
 
 @dataclass
 class RunResult:
-    """What an engine returns. The forest is int64 arrays from run_fast
-    and lists from run_reference, which alone fills the last two fields."""
+    """What an engine returns. The forest is arrays from run_fast (int32
+    labels, int64 push moments) and lists from run_reference, which alone
+    fills the last two fields."""
     report: RunReport
     samples: np.ndarray       # trajectory: a row per reached checkpoint
     parents: object           # DFS forest: parents[v] = parent or -1

@@ -37,10 +37,11 @@ the walk stays in cache. `_explore_python` is the same loop in Python,
 frame for frame (one stack frame per U-member, one push site for roots and
 children alike), on the graph in label order. It runs instead only when
 the kernel does not load (no C compiler), never for a particular graph.
-Both return the samples as one int64 row per checkpoint, in
-TRAJECTORY_COLUMNS order, and the forest as int64 arrays, and raise the
-same InvariantViolation on the same input; the tests compare them on every
-small graph.
+Both read the graph's int32 CSR, return the samples as one int64 row per
+checkpoint, in TRAJECTORY_COLUMNS order, and the forest as parents and
+push order in int32 (vertex labels, below n < 2**31) and push moments in
+int64 (clocks), and raise the same InvariantViolation on the same input;
+the tests compare them on every small graph.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ _NO_MEMORY = 5
 
 
 def _explore_native(lib, graph, cps):
-    """The exploration loop in C, on the graph's checked int64 CSR."""
+    """The exploration loop in C, on the graph's checked int32 CSR."""
     n = graph.n
     cp_arr = np.array(cps, dtype=np.int64)
-    parents = np.empty(n, dtype=np.int64)
-    push_order = np.empty(n, dtype=np.int64)
+    parents = np.empty(n, dtype=np.int32)
+    push_order = np.empty(n, dtype=np.int32)
     push_m = np.empty(n, dtype=np.int64)
     rows = np.empty((len(cp_arr), 7), dtype=np.int64)
     info = np.zeros(8, dtype=np.int64)
@@ -266,6 +267,6 @@ def _explore_python(graph, cps):
             max_u = len(stack)
             max_u_m = m
 
-    return (trajectory_array(samples), np.array(parents, dtype=np.int64),
-            np.array(push_order, dtype=np.int64),
+    return (trajectory_array(samples), np.array(parents, dtype=np.int32),
+            np.array(push_order, dtype=np.int32),
             np.array(push_m, dtype=np.int64), m, max_u, max_u_m, best)

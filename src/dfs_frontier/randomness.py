@@ -35,6 +35,12 @@ and check both against an explicit pair list. A graph is held as
 its CSR adjacency alone (`Graph`), checked once when it is built; the edges
 are placed into it by counting, in C (`csr_build`), with no sort.
 
+Vertex labels and CSR offsets are int32, on both paths; clocks and pair
+ranks stay int64. So a graph has n < 2**31 vertices and fewer than 2**31
+CSR entries (2m): `materialize_graph`, `Graph` and `Graph.from_edge_arrays`
+reject a larger one before they allocate, and check labels and offsets in
+the dtype they arrive in, so that a cast to int32 never wraps.
+
 The floor of a libm quotient is stable for a given libm; a 1-ulp difference
 in log1p across platforms could in principle move one gap boundary with
 probability on the order of 1e-16 per draw. The frozen stream tests pin the
@@ -52,6 +58,8 @@ from .errors import ConfigError, StreamExhausted
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
+# Labels and CSR offsets are int32: n and the CSR's entry count stay below.
+LABEL_LIMIT = 2**31
 
 
 def splitmix64(state):
@@ -186,57 +194,82 @@ def pair_count(n):
     return n * (n - 1) // 2
 
 
+def _integers(a):
+    """a as an array of an integer dtype (any width); ValueError otherwise,
+    since a float or object entry would slip past a range check."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"expected integers, got dtype {a.dtype}")
+    return a
+
+
 class Graph:
     """An undirected simple graph held as its CSR adjacency alone: row v,
     nbrs[indptr[v]:indptr[v + 1]], lists v's neighbours ascending, so m is
-    half the entries. The constructor casts both arrays to contiguous int64
-    and raises ValueError on a bad shape, offset or label, so consumers may
-    index with them; row order is left to the exploration walk's guards.
+    half the entries. Both arrays are contiguous int32, so n and len(nbrs)
+    are below 2**31. The constructor checks the arrays in the dtype they
+    arrive in, then casts them, and raises ValueError on a size past that
+    cap or a bad shape, offset or label, so consumers may index with them;
+    row order is left to the exploration walk's guards.
     """
 
     def __init__(self, n, indptr, nbrs):
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        nbrs = np.ascontiguousarray(nbrs, dtype=np.int64)
-        if n < 0 or indptr.shape != (n + 1,) or nbrs.ndim != 1:
+        if not 0 <= n < LABEL_LIMIT:
+            raise ValueError(f"n = {n} is outside [0, 2**31)")
+        indptr = _integers(indptr)
+        nbrs = _integers(nbrs)
+        if (indptr.shape != (n + 1,) or nbrs.ndim != 1
+                or len(nbrs) >= LABEL_LIMIT):
             raise ValueError(f"CSR arrays of shapes {indptr.shape} and "
-                             f"{nbrs.shape} do not describe {n} vertices")
+                             f"{nbrs.shape} do not describe {n} vertices "
+                             "with fewer than 2**31 entries")
         if (indptr[0] != 0 or indptr[-1] != len(nbrs)
                 or (indptr[1:] < indptr[:-1]).any()):
             raise ValueError("indptr must rise from 0 to len(nbrs)")
         if len(nbrs) and (nbrs.min() < 0 or nbrs.max() >= n):
             raise ValueError(f"neighbour label outside [0, {n})")
+        # Every entry now lies in [0, 2**31): the casts cannot wrap.
         self.n = n
         self.m = len(nbrs) // 2
-        self.indptr = indptr
-        self.nbrs = nbrs
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
+        self.nbrs = np.ascontiguousarray(nbrs, dtype=np.int32)
 
     @classmethod
     def from_edge_arrays(cls, n, eu, ev, validate=True):
         """Build from parallel arrays of endpoints, u < v, lex-sorted. The
         graph keeps only the CSR built from them: by the native kernel when
-        it loads, else by a stable sort, with the same bytes. An endpoint
-        outside [0, n) raises ValueError even when validate is False."""
-        if n < 0:
-            raise ConfigError(f"n must be >= 0, got {n}")
-        eu = np.ascontiguousarray(eu, dtype=np.int64)
-        ev = np.ascontiguousarray(ev, dtype=np.int64)
+        it loads, else by a stable sort, with the same bytes. n >= 2**31 or
+        2**30 edges and more (2**31 CSR entries) raise ConfigError before
+        anything is allocated. An endpoint outside [0, n) raises ValueError
+        even when validate is False; it is checked in the arrays' own dtype,
+        before the cast to int32."""
+        if not 0 <= n < LABEL_LIMIT:
+            raise ConfigError(f"n must be in [0, 2**31), got {n}")
+        eu = _integers(eu)
+        ev = _integers(ev)
         if eu.ndim != 1 or eu.shape != ev.shape:
             raise ValueError("endpoint arrays must be 1-D, of one length")
-        if validate:
-            if len(eu):
-                if eu.min() < 0 or ev.max() >= n:
-                    raise ValueError("vertex id out of range")
-                if not (eu < ev).all():
-                    raise ValueError("edges must satisfy u < v")
-                key = eu * n + ev
-                if not (np.diff(key) > 0).all():
-                    raise ValueError("edges must be lex-sorted and unique")
+        if 2 * len(eu) >= LABEL_LIMIT:
+            raise ConfigError(f"{len(eu)} edges need 2**31 CSR entries or "
+                              "more")
+        if len(eu) and (min(eu.min(), ev.min()) < 0
+                        or max(eu.max(), ev.max()) >= n):
+            raise ValueError("vertex id out of range")
+        eu = np.ascontiguousarray(eu, dtype=np.int32)
+        ev = np.ascontiguousarray(ev, dtype=np.int32)
+        if validate and len(eu):
+            if not (eu < ev).all():
+                raise ValueError("edges must satisfy u < v")
+            # In int64: int32 operands wrap once n exceeds 46,340.
+            key = eu.astype(np.int64) * n + ev
+            if not (np.diff(key) > 0).all():
+                raise ValueError("edges must be lex-sorted and unique")
         from . import _native
         lib = _native.kernel()
         if lib is None:
             return cls(n, *_csr_numpy(n, eu, ev))
-        indptr = np.empty(n + 1, dtype=np.int64)
-        nbrs = np.empty(2 * len(eu), dtype=np.int64)
+        indptr = np.empty(n + 1, dtype=np.int32)
+        nbrs = np.empty(2 * len(eu), dtype=np.int32)
         if lib.csr_build(n, eu, ev, len(eu), indptr, nbrs):
             raise ValueError("vertex id out of range")
         return cls(n, indptr, nbrs)
@@ -251,16 +284,15 @@ class Graph:
             eu, ev = zip(*norm)
         else:
             eu, ev = (), ()
-        return cls.from_edge_arrays(n, np.array(eu, dtype=np.int64),
-                                    np.array(ev, dtype=np.int64))
+        return cls.from_edge_arrays(n, eu, ev)
 
     def neighbors(self, v):
         return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
 
     def edge_arrays(self):
-        """The edges as int64 arrays (eu, ev), u < v, lex-sorted: the
+        """The edges as int32 arrays (eu, ev), u < v, lex-sorted: the
         entries of each row above its vertex."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64),
+        rows = np.repeat(np.arange(self.n, dtype=np.int32),
                          np.diff(self.indptr))
         upper = self.nbrs > rows
         return rows[upper], self.nbrs[upper]
@@ -284,14 +316,20 @@ def materialize_graph(n, p, seed):
 
     Cost is O(n + E), independent of the C(n,2) pair-space size. The result
     is bit-identical for equal (n, p, seed): the skip sequence is the gap
-    sequence of BitStream(seed, p) over the pair space.
+    sequence of BitStream(seed, p) over the pair space. n >= 2**31, or an
+    expected 2**31 CSR entries or more (2 p C(n, 2)), raises ConfigError
+    before anything is drawn or allocated; a draw that lands past the cap
+    all the same raises it before the CSR is built.
     """
-    if n < 0:
-        raise ConfigError(f"n must be >= 0, got {n}")
+    if not 0 <= n < LABEL_LIMIT:
+        raise ConfigError(f"n must be in [0, 2**31), got {n}")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"p must be in [0, 1], got {p!r}")
+    if 2 * pair_count(n) * p >= LABEL_LIMIT:
+        raise ConfigError(f"G({n}, {p!r}) expects 2**31 CSR entries or "
+                          "more")
     if p == 0.0 or n < 2:
-        eu = ev = np.empty(0, dtype=np.int64)
+        eu = ev = np.empty(0, dtype=np.int32)
     elif p >= 1.0:
         eu, ev = np.triu_indices(n, 1)
     else:
@@ -300,24 +338,24 @@ def materialize_graph(n, p, seed):
 
 
 def _csr_numpy(n, eu, ev):
-    """(indptr, nbrs) as csr_build in _kernel.c places them: row x lists the
-    u < x of edges (u, x), then the v > x of edges (x, v), each ascending
-    because the edges are lex-sorted; a stable sort by row keeps that
-    order. bincount and cumsum raise ValueError on an endpoint outside
+    """(indptr, nbrs), int32, as csr_build in _kernel.c places them: row x
+    lists the u < x of edges (u, x), then the v > x of edges (x, v), each
+    ascending because the edges are lex-sorted; a stable sort by row keeps
+    that order. bincount and cumsum raise ValueError on an endpoint outside
     [0, n)."""
     src = np.concatenate([ev, eu])
     dst = np.concatenate([eu, ev])
     nbrs = dst[np.argsort(src, kind="stable")]
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, nbrs
 
 
 def _gap_edges(n, p, seed):
     """The edges (eu, ev) at the success positions of BitStream(seed, p)
-    over the lexicographic pair order, n >= 2 and 0 < p < 1, as int64
-    arrays: drawn by the native kernel when it loads, else by bounded skips
-    of the stream itself. Each skip of k zeros moves the last edge on by
+    over the lexicographic pair order, 2 <= n < 2**31 and 0 < p < 1, as
+    int32 arrays: drawn by the native kernel when it loads, else by bounded
+    skips of the stream itself. Each skip of k zeros moves the last edge on by
     k + 1 pairs, carried across the rows it ends."""
     total = pair_count(n)
     from . import _native
@@ -337,7 +375,7 @@ def _gap_edges(n, p, seed):
             v += step
             us.append(u)
             vs.append(v)
-        return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+        return np.array(us, dtype=np.int32), np.array(vs, dtype=np.int32)
     rng = Xoshiro256StarStar(seed)
     state = np.array([rng._s0, rng._s1, rng._s2, rng._s3], dtype=np.uint64)
     pos = np.array([-1, 0, 0], dtype=np.int64)
@@ -345,8 +383,8 @@ def _gap_edges(n, p, seed):
     cap = min(total, int(mean + 6.0 * math.sqrt(mean)) + 16)
     us, vs = [], []
     while pos[0] < total:
-        eu = np.empty(cap, dtype=np.int64)
-        ev = np.empty(cap, dtype=np.int64)
+        eu = np.empty(cap, dtype=np.int32)
+        ev = np.empty(cap, dtype=np.int32)
         got = lib.gap_draw(state, math.log1p(-p), n, pos, eu, ev, cap)
         us.append(eu[:got])
         vs.append(ev[:got])
@@ -368,20 +406,27 @@ def write_graph_file(graph, path):
 
 
 def read_graph_file(path):
-    """Read the canonical text format; rejects malformed headers, bad ids,
-    unsorted or duplicate edges."""
+    """Read the canonical text format; rejects malformed headers, sizes
+    past the 2**31 cap, bad ids (range-checked as int64, before the cast to
+    int32), unsorted or duplicate edges."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed header {header!r}")
         n, m = int(header[0]), int(header[1])
+        if not 0 <= 2 * m < LABEL_LIMIT:
+            raise ValueError(f"{path}: edge count {m} outside [0, 2**30)")
         eu = np.empty(m, dtype=np.int64)
         ev = np.empty(m, dtype=np.int64)
         for i in range(m):
             parts = f.readline().split()
             if len(parts) != 2:
                 raise ValueError(f"{path}: malformed edge line {i + 2}")
-            eu[i], ev[i] = int(parts[0]), int(parts[1])
+            try:
+                eu[i], ev[i] = int(parts[0]), int(parts[1])
+            except OverflowError:
+                raise ValueError(f"{path}: vertex id past int64 on line "
+                                 f"{i + 2}") from None
         if f.readline().strip():
             raise ValueError(f"{path}: trailing content after {m} edges")
     return Graph.from_edge_arrays(n, eu, ev)

@@ -1,8 +1,12 @@
 """The forest-derived component census against scipy's, on every small
-graph and on the random-trial graphs, through both engines."""
+graph and on the random-trial graphs, through both engines, and on one graph
+per acceptance-campaign cell through the fast engine."""
 
+import pytest
 from census_oracle import report_census, scipy_census
+from test_acceptance import BASE_SEED, CELLS
 
+from dfs_frontier.diagnostics import checkpoint_schedule
 from dfs_frontier.fast_engine import run_fast
 from dfs_frontier.oracle import (RANDOM_DENSITY_LADDER, RANDOM_SIZES,
                                  SmallGraphEnumeration)
@@ -34,3 +38,15 @@ def test_random_trial_graphs():
         c = RANDOM_DENSITY_LADDER[(i // len(sizes))
                                   % len(RANDOM_DENSITY_LADDER)]
         assert_census_matches(materialize_graph(n, min(c / n, 1.0), i))
+
+
+@pytest.mark.parametrize("eps, n", CELLS)
+def test_campaign_cell_graphs(eps, n):
+    # The first seed of each cell of tests/test_acceptance.py, a forest of
+    # n = 8*10^5 or 10^6 vertices, as `run` draws and walks it.
+    p = (1 + eps) / n
+    graph = materialize_graph(n, p, BASE_SEED)
+    res = run_fast(graph, checkpoint_schedule(n, eps), epsilon=eps, p=p,
+                   seed=BASE_SEED)
+    want, _giant = scipy_census(graph, res.push_m)
+    assert report_census(res.report) == want

@@ -401,3 +401,41 @@ def test_import_does_not_load_scipy(tmp_path):
                                   PATH=f"{tmp_path}:{os.environ['PATH']}"))
     assert out.stdout.strip() == "False False"
     assert not mark.exists()
+
+
+# One run at n = 10^6 in a fresh interpreter; prints the rise of its peak
+# RSS, in MiB, over the high-water mark once the package and its kernel
+# are loaded (a process that imports scipy has paid for ctypes already).
+# The peak is VmHWM, the new image's own: ru_maxrss would carry the peak of
+# the launching process (here pytest) across exec.
+MEMORY_PROBE = """
+import sys
+from dfs_frontier import _native, cli
+
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f
+                    if line.startswith("VmHWM:"))
+
+if _native.kernel() is None:
+    sys.exit(77)
+before = peak_kib()
+cli.execute_run(cli.RunConfig(n=10**6, epsilon=0.1, p=None, seed=7))
+print((peak_kib() - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs VmHWM from /proc/self/status")
+def test_run_n1e6_memory_budget():
+    # int32 labels: the CSR, the edges and the forest's labels at half the
+    # int64 width. About 40 MiB; 55 MiB with int64 labels.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", MEMORY_PROBE],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    if done.returncode == 77:
+        pytest.skip("native kernel unavailable (no C compiler)")
+    assert done.returncode == 0, done.stderr
+    rise_mib = float(done.stdout)
+    assert rise_mib <= 44, rise_mib

@@ -7,6 +7,8 @@ checked on the Python loops too."""
 import hashlib
 import itertools
 
+import numpy as np
+
 from dfs_frontier import cli
 from dfs_frontier.randomness import (BitStream, FixedBits, materialize_graph,
                                      pair_count, write_graph_file)
@@ -81,15 +83,16 @@ def reference_runs():
 
 def reference_digest():
     """One sha256 over each run's event log, samples, report and realized
-    CSR, in run order."""
+    CSR, in run order. The CSR is hashed as int64 values, so the digest
+    pins its entries, not the width it is stored in."""
     h = hashlib.sha256()
     for res in reference_runs():
         h.update(repr(res.event_log).encode())
         h.update(res.samples.tobytes())
         h.update(res.report.to_json().encode())
         if res.realized_graph is not None:
-            h.update(res.realized_graph.indptr.tobytes())
-            h.update(res.realized_graph.nbrs.tobytes())
+            h.update(res.realized_graph.indptr.astype(np.int64).tobytes())
+            h.update(res.realized_graph.nbrs.astype(np.int64).tobytes())
     return h.hexdigest()
 
 

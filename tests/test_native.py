@@ -35,13 +35,18 @@ def lib():
     return lib
 
 
+# Labels are int32 and clocks int64, on both paths.
+FOREST_DTYPES = {"parents": np.int32, "push_order": np.int32,
+                 "push_m": np.int64}
+
+
 def assert_same_run(graph, python_loops):
     cps = checkpoint_schedule(graph.n, None, 1)
     native = run_fast(graph, cps)
     python = python_loops(run_fast, graph, cps)
-    for name in ("parents", "push_order", "push_m"):
+    for name, dtype in FOREST_DTYPES.items():
         a, b = getattr(native, name), getattr(python, name)
-        assert a.dtype == b.dtype == np.int64, name
+        assert a.dtype == b.dtype == dtype, name
         assert np.array_equal(a, b), (name, graph.edges())
     assert np.array_equal(native.samples, python.samples), graph.edges()
     assert native.report == python.report, graph.edges()
@@ -112,7 +117,7 @@ def assert_same_csr(native, python):
     assert native.n == python.n
     for name in ("indptr", "nbrs"):
         a, b = getattr(native, name), getattr(python, name)
-        assert a.dtype == b.dtype == np.int64, name
+        assert a.dtype == b.dtype == np.int32, name
         assert np.array_equal(a, b), (name, native.edges())
 
 
@@ -162,12 +167,15 @@ def test_csr_build_checks_every_endpoint_before_writing(lib):
     # and nbrs is still untouched.
     for side in (0, 1):
         for bad in (3, -1):
-            ends = np.array([[0, 0, 1], [1, 2, 2]], dtype=np.int64)
+            ends = np.array([[0, 0, 1], [1, 2, 2]], dtype=np.int32)
             ends[side, -1] = bad
-            indptr = np.zeros(4, dtype=np.int64)
-            nbrs = np.full(6, -7, dtype=np.int64)
+            indptr = np.zeros(4, dtype=np.int32)
+            nbrs = np.full(6, -7, dtype=np.int32)
             assert lib.csr_build(3, ends[0], ends[1], 3, indptr, nbrs) == 1
             assert (nbrs == -7).all()
+    # Past the 32-bit cap, refused before any array is read.
+    assert lib.csr_build(3, ends[0], ends[1], 2**30, indptr, nbrs) == 1
+    assert lib.csr_build(2**31, ends[0], ends[1], 3, indptr, nbrs) == 1
 
 
 GAP_GRID_N = (0, 1, 2, 3, 4, 200, 5000)
@@ -203,7 +211,7 @@ def test_gap_draw_matches_python_loop(lib, python_loops):
                 got = _gap_edges(n, p, seed)
                 want = python_loops(_gap_edges, n, p, seed)
                 for a, b in zip(got, want):
-                    assert a.dtype == b.dtype == np.int64
+                    assert a.dtype == b.dtype == np.int32
                     assert np.array_equal(a, b), (n, p, seed)
                 if n <= 200:
                     assert (list(zip(*(a.tolist() for a in got)))
@@ -220,8 +228,8 @@ def test_gap_draw_resumes_across_full_buffers(lib, python_loops):
     pos = np.array([-1, 0, 0], dtype=np.int64)
     us, vs = [], []
     while pos[0] < total:
-        eu = np.empty(7, dtype=np.int64)
-        ev = np.empty(7, dtype=np.int64)
+        eu = np.empty(7, dtype=np.int32)
+        ev = np.empty(7, dtype=np.int32)
         got = lib.gap_draw(state, math.log1p(-p), n, pos, eu, ev, 7)
         us.append(eu[:got])
         vs.append(ev[:got])

@@ -1,6 +1,8 @@
 """Randomness module tests: frozen generator vectors, stream coupling,
 graph materialization, and the canonical graph file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,7 +232,12 @@ class TestGraph:
                 Graph(3, np.array(indptr), np.array(nbrs))
         g = Graph(3, [0, 1, 2, 2], [1, 0])
         assert g.m == 1 and g.edges() == [(0, 1)]
-        assert g.indptr.dtype == g.nbrs.dtype == np.int64
+        assert g.indptr.dtype == g.nbrs.dtype == np.int32
+
+    def test_edge_arrays_are_int32(self):
+        eu, ev = Graph.from_edges(4, [(0, 3), (1, 2)]).edge_arrays()
+        assert eu.dtype == ev.dtype == np.int32
+        assert list(zip(eu.tolist(), ev.tolist())) == [(0, 3), (1, 2)]
 
     def test_equality(self):
         a = Graph.from_edges(3, [(0, 1)])
@@ -238,6 +245,78 @@ class TestGraph:
         c = Graph.from_edges(3, [(0, 2)])
         assert a == b
         assert a != c
+
+
+WRAPS = 2**32 + 1     # 1 once cast to int32
+
+
+class TestInt32Labels:
+    """Labels and offsets are range-checked in the dtype they arrive in,
+    before the cast to int32, and sizes past 2**31 are refused up front."""
+
+    def test_graph_rejects_wrapping_label_and_offset(self):
+        with pytest.raises(ValueError):
+            Graph(3, np.array([0, 1, 2, 2]), np.array([WRAPS, 0]))
+        with pytest.raises(ValueError):
+            Graph(3, np.array([0, 1, 2, 2 + 2**32]), np.array([1, 0]))
+        with pytest.raises(ValueError):
+            Graph(3, [0, 1, 2, 2], [1.0, 0.0])
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_from_edge_arrays_rejects_wrapping_label(self, validate):
+        for eu, ev in (([0], [WRAPS]), ([WRAPS - 1], [1])):
+            with pytest.raises(ValueError):
+                Graph.from_edge_arrays(3, np.array(eu), np.array(ev),
+                                       validate=validate)
+
+    def test_read_graph_file_rejects_wrapping_label(self, tmp_path):
+        # 2**64 does not fit int64 either.
+        for label in (WRAPS, 2**64):
+            path = tmp_path / "wraps.txt"
+            path.write_text(f"3 1\n0 {label}\n")
+            with pytest.raises(ValueError):
+                read_graph_file(str(path))
+            with pytest.raises(ValueError):
+                Graph.from_edges(3, [(0, label)])
+
+    def test_lex_key_does_not_wrap(self):
+        # In int32, 99,998 * n + 99,999 and 69,998 * n + 99,999 wrap to
+        # keys that rise, so this unsorted pair would pass and the sorted
+        # one fail.
+        n = 10**5
+        with pytest.raises(ValueError, match="lex-sorted"):
+            Graph.from_edge_arrays(n, [99_998, 69_998], [99_999, 99_999])
+        g = Graph.from_edge_arrays(n, [69_998, 99_998], [99_999, 99_999])
+        assert g.edges() == [(69_998, 99_999), (99_998, 99_999)]
+
+    def test_size_cap_before_allocating(self):
+        # Zero-stride views stand for inputs of 2**30 edges and 2**31
+        # entries without holding them.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError):
+                materialize_graph(2**31, 1e-12, 1)
+            with pytest.raises(ConfigError):
+                materialize_graph(50_000, 1.0, 1)    # n (n - 1) > 2**31
+            with pytest.raises(ConfigError):
+                Graph.from_edge_arrays(2**31, [], [])
+            ends = np.broadcast_to(np.int32(0), (2**30,))
+            with pytest.raises(ConfigError):
+                Graph.from_edge_arrays(3, ends, ends, validate=False)
+            with pytest.raises(ValueError):
+                Graph(2**31, [0], [])
+            with pytest.raises(ValueError):
+                Graph(1, [0, 2**31], np.broadcast_to(np.int32(0), (2**31,)))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_read_graph_file_refuses_size_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"3 {2**30}\n0 1\n")
+        with pytest.raises(ValueError, match="edge count"):
+            read_graph_file(str(path))
 
 
 class TestMaterializeGraph:
