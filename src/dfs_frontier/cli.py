@@ -24,7 +24,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from . import __version__
 from .diagnostics import (RunReport, aggregate, atomic_write_text,
@@ -103,11 +102,6 @@ def execute_run(config):
     return res.report, res.samples
 
 
-def _run_report_task(config):
-    report, _samples = execute_run(config)
-    return report
-
-
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
@@ -141,47 +135,49 @@ def cmd_sweep(args):
             f"sweep of {len(cells)} cells x {args.seeds} seeds = {total} "
             f"runs exceeds the budget of {args.budget}; raise --budget "
             "to confirm")
-    # Every check that can fail runs before the first run starts.
-    configs = [RunConfig(n=n, epsilon=eps, p=None,
-                         seed=args.seed + i).validate()
-               for n, eps in cells for i in range(args.seeds)]
-    dirs = set()
-    for n, eps in cells:
+    # Every check that can fail runs before the first run starts. Runs go
+    # in sorted cell order, and each report is written as it arrives.
+    configs, dirs = [], []
+    for n, eps in sorted(cells):
+        configs += [RunConfig(n, eps, p=None, seed=args.seed + i).validate()
+                    for i in range(args.seeds)]
         checkpoint_schedule(n, eps)
         name = _cell_dir_name(n, eps)
         if name in dirs:
             raise ConfigError(f"two cells map to the directory {name}; "
                               "give distinct (n, epsilon) cells")
-        dirs.add(name)
+        dirs.append(name)
         _warn_design_band(eps)
-    os.makedirs(args.out, exist_ok=True)
-    if args.jobs > 1:
+
+    def results():
+        if args.jobs == 1:
+            yield from map(execute_run, configs)
+            return
+        from multiprocessing import Pool
         with Pool(args.jobs) as pool:
-            reports = pool.map(_run_report_task, configs)
-    else:
-        reports = [_run_report_task(c) for c in configs]
-    by_cell = {}
-    for report in reports:
-        key = (report.config["n"], report.config["epsilon"])
-        by_cell.setdefault(key, []).append(report)
-    cell_dirs = []
-    for (n, eps), group in sorted(by_cell.items()):
-        cell_dir = os.path.join(args.out, _cell_dir_name(n, eps))
+            yield from pool.imap(execute_run, configs)
+    os.makedirs(args.out, exist_ok=True)
+    group = []
+    for cfg, (report, _samples) in zip(configs, results()):
+        cell_dir = os.path.join(args.out, _cell_dir_name(cfg.n, cfg.epsilon))
         os.makedirs(cell_dir, exist_ok=True)
-        for report in group:
-            path = os.path.join(cell_dir,
-                                f"report-seed{report.config['seed']}.json")
-            atomic_write_text(path, report.to_json())
+        path = os.path.join(cell_dir, f"report-seed{cfg.seed}.json")
+        atomic_write_text(path, report.to_json())
+        group.append(report)
+        if len(group) < args.seeds:
+            continue
         write_seed_table_csv(group, os.path.join(cell_dir, "seeds.csv"))
         agg = aggregate(group)
         write_aggregate_csv(agg, os.path.join(cell_dir, "aggregate.csv"))
         atomic_write_text(os.path.join(cell_dir, "aggregate.json"),
                           json.dumps(agg.to_dict(), indent=2, sort_keys=True)
                           + "\n")
-        cell_dirs.append(os.path.basename(cell_dir))
-        print(f"cell n={n} eps={eps:g}: {len(group)} seeds -> {cell_dir}")
+        print(f"cell n={cfg.n} eps={cfg.epsilon:g}: {len(group)} seeds -> "
+              f"{cell_dir}")
+        group = []
+    # Written last: their absence marks an unfinished sweep.
     atomic_write_text(os.path.join(args.out, "plot.gnuplot"),
-                      _gnuplot_script(cell_dirs))
+                      _gnuplot_script(dirs))
     meta = {"created_unix": time.time(), "package_version": __version__,
             "base_seed": args.seed, "seeds": args.seeds,
             "cells": [list(c) for c in cells]}
@@ -225,11 +221,14 @@ def cmd_verify(args):
 
 
 def cmd_equivalence(args):
-    mismatches = []
+    if args.random_trials < 0:
+        raise ConfigError(f"--random-trials must be >= 0, got {args.random_trials}")
+    if not 0 <= args.seed <= MAX_SEED:
+        raise ConfigError(f"seed must be a 64-bit integer, got {args.seed}")
     res = equivalence_sweep(args.n_max, out_dir=args.out)
     print(f"enumeration to n={args.n_max}: {res.graphs_checked} graphs, "
           f"{len(res.mismatches)} mismatches")
-    mismatches.extend(res.mismatches)
+    mismatches = res.mismatches
     if args.random_trials:
         res2 = random_equivalence_trials(
             args.random_trials * len(RANDOM_SIZES), seed=args.seed,
@@ -237,7 +236,7 @@ def cmd_equivalence(args):
         print(f"random trials: {res2.graphs_checked} graphs "
               f"({args.random_trials} per size in {list(RANDOM_SIZES)}), "
               f"{len(res2.mismatches)} mismatches")
-        mismatches.extend(res2.mismatches)
+        mismatches = res.mismatches + res2.mismatches
     for entry in mismatches[:5]:
         print(f"mismatch {entry['label']}: {entry['mismatches'][0]}")
     return 1 if mismatches else 0

@@ -187,74 +187,70 @@ def compare_runs(ref_result, fast_result):
     return lines
 
 
-def _check_one(graph, label, out_dir, mismatches, bundle_dirs,
-               stride=1):
-    cps = checkpoint_schedule(graph.n, None, stride)
-    ref = run_reference(graph.n, graph, cps, record_events=False)
-    fast = run_fast(graph, cps)
-    lines = compare_runs(ref, fast)
-    if not lines:
-        return
-    entry = {"label": label, "n": graph.n, "m": graph.m,
-             "mismatches": lines}
-    mismatches.append(entry)
-    if out_dir is not None and len(bundle_dirs) < MAX_MISMATCH_BUNDLES:
+def enumeration_cases(n_max=MAX_ENUMERATION_N):
+    """Every labelled graph with 1..n_max vertices (n_max <= 5), as
+    (label, graph, stride) cases at stride 1."""
+    if not 1 <= n_max <= MAX_ENUMERATION_N:
+        raise ConfigError(
+            f"n_max must be in 1..{MAX_ENUMERATION_N}, got {n_max}")
+    for n in range(1, n_max + 1):
+        for mask, graph in SmallGraphEnumeration(n):
+            yield f"n{n}-mask{mask}", graph, 1
+
+
+def trial_cases(trials, sizes=RANDOM_SIZES, seed=0):
+    """Random (label, graph, stride) cases beyond the enumeration: trial i
+    draws G(n, c/n) with n cycling through `sizes` and c through
+    RANDOM_DENSITY_LADDER, seeded seed + i, at stride 1 up to n=64 and 11
+    above (every moment would be millions of samples)."""
+    for i in range(trials):
+        n = sizes[i % len(sizes)]
+        c = RANDOM_DENSITY_LADDER[(i // len(sizes)) % len(RANDOM_DENSITY_LADDER)]
+        yield (f"trial{i}-n{n}-seed{seed + i}",
+               materialize_graph(n, min(c / n, 1.0), seed + i),
+               1 if n <= 64 else 11)
+
+
+def _check_cases(cases, out_dir):
+    """Compare both engines on each (label, graph, stride) case; the first
+    MAX_MISMATCH_BUNDLES mismatches are bundled under out_dir."""
+    checked, mismatches, bundle_dirs = 0, [], []
+    for checked, (label, graph, stride) in enumerate(cases, 1):
+        cps = checkpoint_schedule(graph.n, None, stride)
+        ref = run_reference(graph.n, graph, cps, record_events=False)
+        fast = run_fast(graph, cps)
+        lines = compare_runs(ref, fast)
+        if not lines:
+            continue
+        mismatches.append({"label": label, "n": graph.n, "m": graph.m,
+                           "mismatches": lines})
+        if out_dir is None or len(bundle_dirs) >= MAX_MISMATCH_BUNDLES:
+            continue
         bdir = os.path.join(out_dir, f"mismatch-{label}")
         os.makedirs(bdir, exist_ok=True)
         write_graph_file(graph, os.path.join(bdir, "graph.txt"))
-        atomic_write_text(os.path.join(bdir, "reference_report.json"),
-                          ref.report.to_json())
-        atomic_write_text(os.path.join(bdir, "fast_report.json"),
-                          fast.report.to_json())
-        write_trajectory_csv(ref.samples,
-                             os.path.join(bdir, "reference_trajectory.csv"))
-        write_trajectory_csv(fast.samples,
-                             os.path.join(bdir, "fast_trajectory.csv"))
+        for name, res in (("reference", ref), ("fast", fast)):
+            atomic_write_text(os.path.join(bdir, f"{name}_report.json"),
+                              res.report.to_json())
+            write_trajectory_csv(
+                res.samples, os.path.join(bdir, f"{name}_trajectory.csv"))
         atomic_write_text(os.path.join(bdir, "diff.txt"),
                           "\n".join(lines) + "\n")
         bundle_dirs.append(bdir)
+    return SweepResult(checked, mismatches, bundle_dirs)
 
 
 def equivalence_sweep(n_max=MAX_ENUMERATION_N, out_dir=None):
     """Drive both engines over every labelled graph with 1..n_max vertices
     (n_max <= 5) and compare settled trajectories at every moment, forests,
     and reports. Returns a SweepResult; mismatch bundles go to out_dir."""
-    if not 1 <= n_max <= MAX_ENUMERATION_N:
-        raise ConfigError(
-            f"n_max must be in 1..{MAX_ENUMERATION_N}, got {n_max}")
-    mismatches = []
-    bundle_dirs = []
-    checked = 0
-    for n in range(1, n_max + 1):
-        for mask, graph in SmallGraphEnumeration(n):
-            _check_one(graph, f"n{n}-mask{mask}", out_dir,
-                       mismatches, bundle_dirs)
-            checked += 1
-    return SweepResult(graphs_checked=checked, mismatches=mismatches,
-                       bundle_dirs=bundle_dirs)
+    return _check_cases(enumeration_cases(n_max), out_dir)
 
 
 def random_equivalence_trials(trials, sizes=RANDOM_SIZES, seed=0,
                               out_dir=None):
-    """Randomized engine comparison at sizes beyond the enumeration.
-
-    Trial i draws G(n, c/n) with n cycling through `sizes` and c through
-    RANDOM_DENSITY_LADDER, seeded seed + i. Settled trajectories are
-    compared at stride 1 up to n=64 and stride 11 above (every moment would
-    be millions of samples). Returns a SweepResult.
-    """
-    mismatches = []
-    bundle_dirs = []
-    for i in range(trials):
-        n = sizes[i % len(sizes)]
-        c = RANDOM_DENSITY_LADDER[(i // len(sizes)) % len(RANDOM_DENSITY_LADDER)]
-        p = min(c / n, 1.0)
-        graph = materialize_graph(n, p, seed + i)
-        stride = 1 if n <= 64 else 11
-        _check_one(graph, f"trial{i}-n{n}-seed{seed + i}", out_dir,
-                   mismatches, bundle_dirs, stride=stride)
-    return SweepResult(graphs_checked=trials, mismatches=mismatches,
-                       bundle_dirs=bundle_dirs)
+    """Compare both engines on trial_cases; returns a SweepResult."""
+    return _check_cases(trial_cases(trials, sizes, seed), out_dir)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from test_acceptance import BASE_SEED, CELLS
 from dfs_frontier.diagnostics import checkpoint_schedule
 from dfs_frontier.fast_engine import run_fast
 from dfs_frontier.oracle import (RANDOM_DENSITY_LADDER, RANDOM_SIZES,
-                                 SmallGraphEnumeration)
+                                 enumeration_cases, trial_cases)
 from dfs_frontier.randomness import materialize_graph
 from dfs_frontier.reference_engine import run_reference
 
@@ -24,20 +24,16 @@ def assert_census_matches(graph):
 def test_every_graph_up_to_five_vertices():
     # 1,099 graphs; the edgeless ones and e.g. two disjoint edges on four
     # vertices exercise the smallest-label tie rule.
-    for n in range(1, 6):
-        for _mask, graph in SmallGraphEnumeration(n):
-            assert_census_matches(graph)
+    for _label, graph, _stride in enumeration_cases():
+        assert_census_matches(graph)
 
 
 def test_random_trial_graphs():
     # The graphs random_equivalence_trials draws: every size crossed with
     # every density of the ladder, twice.
-    sizes = RANDOM_SIZES
-    for i in range(2 * len(sizes) * len(RANDOM_DENSITY_LADDER)):
-        n = sizes[i % len(sizes)]
-        c = RANDOM_DENSITY_LADDER[(i // len(sizes))
-                                  % len(RANDOM_DENSITY_LADDER)]
-        assert_census_matches(materialize_graph(n, min(c / n, 1.0), i))
+    trials = 2 * len(RANDOM_SIZES) * len(RANDOM_DENSITY_LADDER)
+    for _label, graph, _stride in trial_cases(trials):
+        assert_census_matches(graph)
 
 
 @pytest.mark.parametrize("eps, n", CELLS)

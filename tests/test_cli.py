@@ -206,6 +206,37 @@ class TestSweepCommand:
         assert "does not fit in the pair space" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_run_keeps_finished_reports(self, tmp_path, capsys,
+                                               monkeypatch):
+        # The 4th of 2 cells x 2 seeds raises: the three reports before it,
+        # and the first cell's tables, stay on disk as a clean sweep writes
+        # them; the files written last are absent.
+        clean = tmp_path / "clean"
+        assert self.sweep(str(clean)) == 0
+        real_run_fast = cli.run_fast
+        calls = []
+
+        def fourth_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise InvariantViolation("ledger out of balance")
+            return real_run_fast(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_fast", fourth_fails)
+        out = tmp_path / "failed"
+        assert self.sweep(str(out), ["--jobs", "1"]) == 3
+        capsys.readouterr()
+        kept = ["cell-n60-eps0.2/report-seed9.json",
+                "cell-n60-eps0.2/report-seed10.json",
+                "cell-n60-eps0.3/report-seed9.json",
+                "cell-n60-eps0.2/seeds.csv",
+                "cell-n60-eps0.2/aggregate.csv",
+                "cell-n60-eps0.2/aggregate.json"]
+        assert sorted(p.relative_to(out).as_posix()
+                      for p in out.rglob("*") if p.is_file()) == sorted(kept)
+        for rel in kept:
+            assert (out / rel).read_bytes() == (clean / rel).read_bytes()
+
 
 def passing_report(n, eps, seed, **overrides):
     # Synthetic numbers sitting comfortably inside every verify band.
@@ -319,6 +350,23 @@ class TestEquivalenceCommand:
         assert rc == 0
         assert "random trials: 4 graphs" in out
 
+    def test_trial_seeds_wrap_past_64_bits(self, capsys):
+        # Only the base seed is range-checked: seed + i wraps as the
+        # generator masks it.
+        rc = main(["equivalence", "--n-max", "1", "--random-trials", "1",
+                   "--seed", str(2**64 - 1)])
+        assert rc == 0
+        assert "random trials: 4 graphs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--random-trials", "-1"],
+                                       ["--seed", "-3"],
+                                       ["--seed", str(2**64)]])
+    def test_bad_flags_exit_2(self, capsys, flags):
+        rc = main(["equivalence", "--n-max", "1", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and "error:" in captured.err
+
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         fake = SweepResult(graphs_checked=3, mismatches=[
             {"label": "n2-mask1", "n": 2, "m": 1,
@@ -380,9 +428,10 @@ def test_cli_surface():
 
 
 def test_import_does_not_load_scipy(tmp_path):
-    # scipy is a test-only dependency, and the native kernel loads on first
-    # use: a fresh interpreter that imports the console-script module must
-    # pull in neither scipy nor the loader, and must start no compiler.
+    # scipy is a test-only dependency, the native kernel loads on first use
+    # and only `sweep --jobs` > 1 needs multiprocessing: a fresh interpreter
+    # that imports the console-script module must pull in none of them, and
+    # must start no compiler.
     # Every compiler name the loader could resolve leads to a stub on PATH
     # that leaves a mark.
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -394,12 +443,13 @@ def test_import_does_not_load_scipy(tmp_path):
         stub.chmod(0o755)
     code = ("import sys, dfs_frontier.cli; "
             "print('scipy' in sys.modules, "
-            "'dfs_frontier._native' in sys.modules)")
+            "'dfs_frontier._native' in sys.modules, "
+            "'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src,
                                   PATH=f"{tmp_path}:{os.environ['PATH']}"))
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
     assert not mark.exists()
 
 

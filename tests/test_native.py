@@ -18,7 +18,7 @@ from dfs_frontier.errors import ConfigError
 from dfs_frontier.diagnostics import checkpoint_schedule
 from dfs_frontier.fast_engine import run_fast
 from dfs_frontier.oracle import (RANDOM_DENSITY_LADDER, RANDOM_SIZES,
-                                 SmallGraphEnumeration)
+                                 enumeration_cases, trial_cases)
 from dfs_frontier.randomness import (BitStream, Graph, Xoshiro256StarStar,
                                      _gap_edges, materialize_graph,
                                      pair_count, read_graph_file,
@@ -54,21 +54,16 @@ def assert_same_run(graph, python_loops):
 
 
 def test_explore_every_graph_up_to_five_vertices(lib, python_loops):
-    for n in range(1, 6):
-        for _mask, graph in SmallGraphEnumeration(n):
-            assert_same_run(graph, python_loops)
+    for _label, graph, _stride in enumeration_cases():
+        assert_same_run(graph, python_loops)
 
 
 def test_explore_random_trial_graphs(lib, python_loops):
     # The graphs random_equivalence_trials draws, every size crossed with
     # every density of the ladder, twice; here at stride 1 at every size.
-    sizes = RANDOM_SIZES
-    for i in range(2 * len(sizes) * len(RANDOM_DENSITY_LADDER)):
-        n = sizes[i % len(sizes)]
-        c = RANDOM_DENSITY_LADDER[(i // len(sizes))
-                                  % len(RANDOM_DENSITY_LADDER)]
-        assert_same_run(materialize_graph(n, min(c / n, 1.0), i),
-                        python_loops)
+    trials = 2 * len(RANDOM_SIZES) * len(RANDOM_DENSITY_LADDER)
+    for _label, graph, _stride in trial_cases(trials):
+        assert_same_run(graph, python_loops)
 
 
 def test_explore_checkpoints_past_the_pair_space(lib, python_loops):
@@ -122,10 +117,9 @@ def assert_same_csr(native, python):
 
 
 def test_csr_build_every_graph_up_to_five_vertices(lib, python_loops):
-    for n in range(1, 6):
-        for _mask, graph in SmallGraphEnumeration(n):
-            assert_same_csr(graph, python_loops(
-                Graph.from_edge_arrays, n, *edge_arrays(graph)))
+    for _label, graph, _stride in enumeration_cases():
+        assert_same_csr(graph, python_loops(
+            Graph.from_edge_arrays, graph.n, *edge_arrays(graph)))
 
 
 def test_csr_build_empty_and_large_graphs(lib, python_loops):

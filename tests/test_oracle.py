@@ -10,10 +10,11 @@ import pytest
 from dfs_frontier import oracle
 from dfs_frontier.errors import ConfigError
 from dfs_frontier.oracle import (MAX_EXACT_COMPONENT, SmallGraphEnumeration,
-                                 compare_runs, equivalence_sweep,
-                                 exact_longest_path, ledger_recompute,
-                                 random_equivalence_trials)
-from dfs_frontier.randomness import Graph
+                                 compare_runs, enumeration_cases,
+                                 equivalence_sweep, exact_longest_path,
+                                 ledger_recompute, random_equivalence_trials,
+                                 trial_cases)
+from dfs_frontier.randomness import Graph, materialize_graph
 from dfs_frontier.reference_engine import QueryLedger, run_reference
 
 
@@ -106,6 +107,25 @@ class TestEquivalenceSweep:
         assert res.ok and res.graphs_checked == 11
         res = equivalence_sweep(4)
         assert res.ok and res.graphs_checked == 75
+
+    def test_cases(self):
+        # n_max is checked before the first graph is built.
+        with pytest.raises(ConfigError):
+            next(enumeration_cases(6))
+        assert [(label, g.m, stride) for label, g, stride
+                in enumeration_cases(2)] == [
+            ("n1-mask0", 0, 1), ("n2-mask0", 0, 1), ("n2-mask1", 1, 1)]
+        # Trial seeds run on past 2^64 and wrap, as the generator masks them.
+        top = 2**64 - 1
+        cases = list(trial_cases(5, sizes=(6, 128), seed=top))
+        assert [(label, g.n, stride) for label, g, stride in cases] == [
+            (f"trial0-n6-seed{top}", 6, 1),
+            (f"trial1-n128-seed{top + 1}", 128, 11),
+            (f"trial2-n6-seed{top + 2}", 6, 1),
+            (f"trial3-n128-seed{top + 3}", 128, 11),
+            (f"trial4-n6-seed{top + 4}", 6, 1)]
+        assert cases[1][1].edges() == materialize_graph(128, 0.5 / 128,
+                                                        0).edges()
 
     def test_random_trials_clean(self):
         res = random_equivalence_trials(24, sizes=(6, 16), seed=5)
