@@ -10,9 +10,8 @@ from .diagnostics import (AggregateReport, ComponentCensus, MetricSummary,
                           default_checkpoints, reference_moments)
 from .errors import ConfigError, InvariantViolation, StreamExhausted
 from .fast_engine import TIndex, run_fast
-from .oracle import (SmallGraphEnumeration, equivalence_sweep,
-                     exact_longest_path, ledger_recompute,
-                     random_equivalence_trials)
+from .oracle import (equivalence_sweep, exact_longest_path,
+                     ledger_recompute, random_equivalence_trials)
 from .randomness import (BitStream, FixedBits, Graph, Xoshiro256StarStar,
                          materialize_graph, pair_count, read_graph_file,
                          splitmix64, write_graph_file)
@@ -21,11 +20,11 @@ from .reference_engine import QueryLedger, ledger_at, run_reference
 __all__ = [
     "AggregateReport", "BitStream", "ComponentCensus", "ConfigError",
     "FixedBits", "Graph", "InvariantViolation", "MetricSummary", "Moments",
-    "QueryLedger", "RunReport", "RunResult", "SmallGraphEnumeration",
-    "StreamExhausted", "TIndex", "Xoshiro256StarStar", "aggregate",
-    "checkpoint_schedule", "component_census", "default_checkpoints",
-    "equivalence_sweep", "exact_longest_path", "ledger_at",
-    "ledger_recompute", "materialize_graph", "pair_count",
-    "random_equivalence_trials", "read_graph_file", "reference_moments",
-    "run_fast", "run_reference", "splitmix64", "write_graph_file",
+    "QueryLedger", "RunReport", "RunResult", "StreamExhausted", "TIndex",
+    "Xoshiro256StarStar", "aggregate", "checkpoint_schedule",
+    "component_census", "default_checkpoints", "equivalence_sweep",
+    "exact_longest_path", "ledger_at", "ledger_recompute",
+    "materialize_graph", "pair_count", "random_equivalence_trials",
+    "read_graph_file", "reference_moments", "run_fast", "run_reference",
+    "splitmix64", "write_graph_file",
 ]

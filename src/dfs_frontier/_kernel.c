@@ -93,10 +93,11 @@ int64_t gap_draw(uint64_t *s, double log1mp, int64_t n, int64_t *pos,
  * order. For lex-sorted edges with u < v that is the row ascending, and no
  * sort is needed: the degrees give the row starts, and two passes over the
  * edges place the lower, then the upper neighbours. indptr holds n + 1
- * entries and nbrs 2 ne. Returns 0, or 1 when an endpoint lies outside
+ * entries and nbrs 2 ne. Returns 0; 1 when an endpoint lies outside
  * [0, n) or the CSR is past the 32-bit cap (n or 2 ne above INT32_MAX);
- * the counting pass checks each endpoint before it is used as an index,
- * so nothing is written to nbrs then and indptr is left undefined. */
+ * 2 when an edge has u >= v or is not after the one before in lex order.
+ * The counting pass checks each edge before its endpoints index, so on a
+ * fault nothing is written to nbrs and indptr is left undefined. */
 int csr_build(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
               int32_t *indptr, int32_t *nbrs)
 {
@@ -105,10 +106,14 @@ int csr_build(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
     for (int64_t x = 0; x <= n; x++)
         indptr[x] = 0;
     for (int64_t i = 0; i < ne; i++) {
-        if (eu[i] < 0 || eu[i] >= n || ev[i] < 0 || ev[i] >= n)
+        int32_t u = eu[i], v = ev[i];
+        if (u < 0 || u >= n || v < 0 || v >= n)
             return 1;
-        indptr[eu[i]]++;
-        indptr[ev[i]]++;
+        if (u >= v || (i > 0 && (u < eu[i - 1]
+                                 || (u == eu[i - 1] && v <= ev[i - 1]))))
+            return 2;
+        indptr[u]++;
+        indptr[v]++;
     }
     for (int64_t x = 0, start = 0; x <= n; x++) {
         int32_t deg = indptr[x];

@@ -190,7 +190,11 @@ def cmd_verify(args):
     paths = []
     for path in args.reports:
         if os.path.isdir(path):
-            for root, _dirs, files in os.walk(path):
+            for root, dirs, files in os.walk(path):
+                if (root == path and "sweep_meta.json" not in files
+                        and any(d.startswith("cell-") for d in dirs)):
+                    raise ConfigError(f"{path}: unfinished sweep; pass its "
+                                      "report files to verify them anyway")
                 for name in sorted(files):
                     if name.startswith("report") and name.endswith(".json"):
                         paths.append(os.path.join(root, name))
@@ -203,7 +207,7 @@ def cmd_verify(args):
         try:
             with open(path, encoding="utf-8") as f:
                 reports.append(RunReport.from_json(f.read()))
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
+        except (OSError, json.JSONDecodeError, TypeError, ConfigError) as exc:
             raise ConfigError(f"cannot read report {path}: {exc}") from exc
     rows = evaluate_criteria(reports)
     width = max(len(r.criterion) for r in rows)

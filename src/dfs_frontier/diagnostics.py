@@ -219,10 +219,22 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d):
+        """ConfigError unless config is an object with an int n, and every
+        other field and config.epsilon a number or None (not bool or str)."""
         fields = set(cls.__dataclass_fields__)
         missing = fields - set(d)
         if missing:
             raise ConfigError(f"report missing fields: {sorted(missing)}")
+        config = d["config"]
+        if not isinstance(config, dict):
+            raise ConfigError(f"report config is not an object: {config!r}")
+        for name, value in (("config.n", config.get("n")),
+                            ("config.epsilon", config.get("epsilon")),
+                            *((k, d[k]) for k in sorted(fields - {"config"}))):
+            kinds = int if name == "config.n" else (int, float, type(None))
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"report {name} has the wrong type: "
+                                  f"{value!r}")
         return cls(**{k: d[k] for k in fields})
 
     @classmethod

@@ -35,36 +35,6 @@ RANDOM_DENSITY_LADDER = (0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0)
 MAX_MISMATCH_BUNDLES = 10
 
 
-class SmallGraphEnumeration:
-    """All simple graphs on n labelled vertices, n <= 5.
-
-    Graphs are bitmasks over the lexicographic pair order: bit i set means
-    pair i is an edge. 2^C(n,2) graphs, 1024 at n=5.
-    """
-
-    def __init__(self, n):
-        if not 1 <= n <= MAX_ENUMERATION_N:
-            raise ConfigError(
-                f"enumeration is for 1 <= n <= {MAX_ENUMERATION_N}, got {n}")
-        self.n = n
-        self.pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        self.n_pairs = len(self.pairs)
-
-    def __len__(self):
-        return 1 << self.n_pairs
-
-    def graph(self, mask):
-        if not 0 <= mask < (1 << self.n_pairs):
-            raise IndexError(f"mask {mask} out of range")
-        edges = [self.pairs[i] for i in range(self.n_pairs)
-                 if (mask >> i) & 1]
-        return Graph.from_edges(self.n, edges)
-
-    def __iter__(self):
-        for mask in range(1 << self.n_pairs):
-            yield mask, self.graph(mask)
-
-
 # ----------------------------------------------------------------------
 # exact longest path
 # ----------------------------------------------------------------------
@@ -189,13 +159,19 @@ def compare_runs(ref_result, fast_result):
 
 def enumeration_cases(n_max=MAX_ENUMERATION_N):
     """Every labelled graph with 1..n_max vertices (n_max <= 5), as
-    (label, graph, stride) cases at stride 1."""
+    (label, graph, stride) cases at stride 1. Graph n{n}-mask{mask} has
+    the lexicographic pairs (0,1), (0,2), ..., (n-2,n-1) whose bit is set
+    in mask, pair i at bit i: 2^C(n,2) graphs per n, 1024 at n=5."""
     if not 1 <= n_max <= MAX_ENUMERATION_N:
         raise ConfigError(
             f"n_max must be in 1..{MAX_ENUMERATION_N}, got {n_max}")
     for n in range(1, n_max + 1):
-        for mask, graph in SmallGraphEnumeration(n):
-            yield f"n{n}-mask{mask}", graph, 1
+        eu, ev = np.triu_indices(n, 1)
+        bits = 1 << np.arange(len(eu))
+        for mask in range(1 << len(eu)):
+            keep = (mask & bits) != 0
+            yield (f"n{n}-mask{mask}",
+                   Graph.from_edge_arrays(n, eu[keep], ev[keep]), 1)
 
 
 def trial_cases(trials, sizes=RANDOM_SIZES, seed=0):

@@ -32,8 +32,9 @@ compiled without FP contraction or fast-math so that every step rounds as
 in Python); otherwise materialization drives BitStream's bounded skips
 through the same row walk. The tests require the two to agree bit for bit
 and check both against an explicit pair list. A graph is held as
-its CSR adjacency alone (`Graph`), checked once when it is built; the edges
-are placed into it by counting, in C (`csr_build`), with no sort.
+its CSR adjacency alone (`Graph`). Every builder, the draw included, places
+the edges into it by counting, in C (`csr_build`), with no sort; that pass
+also checks each edge (in range, u < v, after the last in lex order).
 
 Vertex labels and CSR offsets are int32, on both paths; clocks and pair
 ranks stay int64. So a graph has n < 2**31 vertices and fewer than 2**31
@@ -60,6 +61,7 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 # Labels and CSR offsets are int32: n and the CSR's entry count stay below.
 LABEL_LIMIT = 2**31
+_ORDER_FAULT = "edges must have u < v and be lex-sorted and unique"
 
 
 def splitmix64(state):
@@ -235,14 +237,14 @@ class Graph:
         self.nbrs = np.ascontiguousarray(nbrs, dtype=np.int32)
 
     @classmethod
-    def from_edge_arrays(cls, n, eu, ev, validate=True):
+    def from_edge_arrays(cls, n, eu, ev):
         """Build from parallel arrays of endpoints, u < v, lex-sorted. The
         graph keeps only the CSR built from them: by the native kernel when
         it loads, else by a stable sort, with the same bytes. n >= 2**31 or
         2**30 edges and more (2**31 CSR entries) raise ConfigError before
-        anything is allocated. An endpoint outside [0, n) raises ValueError
-        even when validate is False; it is checked in the arrays' own dtype,
-        before the cast to int32."""
+        anything is allocated. An endpoint outside [0, n), checked in the
+        arrays' own dtype before the cast to int32, or an edge out of order
+        raises ValueError."""
         if not 0 <= n < LABEL_LIMIT:
             raise ConfigError(f"n must be in [0, 2**31), got {n}")
         eu = _integers(eu)
@@ -257,21 +259,16 @@ class Graph:
             raise ValueError("vertex id out of range")
         eu = np.ascontiguousarray(eu, dtype=np.int32)
         ev = np.ascontiguousarray(ev, dtype=np.int32)
-        if validate and len(eu):
-            if not (eu < ev).all():
-                raise ValueError("edges must satisfy u < v")
-            # In int64: int32 operands wrap once n exceeds 46,340.
-            key = eu.astype(np.int64) * n + ev
-            if not (np.diff(key) > 0).all():
-                raise ValueError("edges must be lex-sorted and unique")
         from . import _native
         lib = _native.kernel()
         if lib is None:
             return cls(n, *_csr_numpy(n, eu, ev))
         indptr = np.empty(n + 1, dtype=np.int32)
         nbrs = np.empty(2 * len(eu), dtype=np.int32)
-        if lib.csr_build(n, eu, ev, len(eu), indptr, nbrs):
-            raise ValueError("vertex id out of range")
+        fault = lib.csr_build(n, eu, ev, len(eu), indptr, nbrs)
+        if fault:
+            raise ValueError("vertex id out of range" if fault == 1
+                             else _ORDER_FAULT)
         return cls(n, indptr, nbrs)
 
     @classmethod
@@ -334,15 +331,19 @@ def materialize_graph(n, p, seed):
         eu, ev = np.triu_indices(n, 1)
     else:
         eu, ev = _gap_edges(n, p, seed)
-    return Graph.from_edge_arrays(n, eu, ev, validate=False)
+    return Graph.from_edge_arrays(n, eu, ev)
 
 
 def _csr_numpy(n, eu, ev):
     """(indptr, nbrs), int32, as csr_build in _kernel.c places them: row x
     lists the u < x of edges (u, x), then the v > x of edges (x, v), each
     ascending because the edges are lex-sorted; a stable sort by row keeps
-    that order. bincount and cumsum raise ValueError on an endpoint outside
-    [0, n)."""
+    that order. First, as csr_build, it checks u < v and strictly rising lex
+    order; endpoints lie in [0, n), so int32 differences cannot wrap."""
+    du = np.diff(eu)
+    if not ((eu < ev).all() and (du >= 0).all()
+            and ((du > 0) | (np.diff(ev) > 0)).all()):
+        raise ValueError(_ORDER_FAULT)
     src = np.concatenate([ev, eu])
     dst = np.concatenate([eu, ev])
     nbrs = dst[np.argsort(src, kind="stable")]

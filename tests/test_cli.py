@@ -80,6 +80,9 @@ class TestRunCommand:
         traj = open(os.path.join(d1, "trajectory.csv")).read().splitlines()
         assert traj[0] == "m,size_S,size_U,size_T,q_ST,q_SU,q_UT"
         assert len(traj) > 3  # stride 40 yields many interior checkpoints
+        # A run directory has no cells: verify reads its report.
+        assert main(["verify", d1]) == 1
+        assert "over 1 reports" in capsys.readouterr().out
 
     def test_both_epsilon_and_p_exits_2(self, capsys):
         rc = main(["run", "--n", "60", "--epsilon", "0.2", "--p", "0.02"])
@@ -236,6 +239,15 @@ class TestSweepCommand:
                       for p in out.rglob("*") if p.is_file()) == sorted(kept)
         for rel in kept:
             assert (out / rel).read_bytes() == (clean / rel).read_bytes()
+        # verify refuses the unfinished sweep as a directory, reads its
+        # report files when they are named, and reads the clean one whole.
+        assert main(["verify", str(out)]) == 2
+        assert ("unfinished sweep; pass its report files to verify them "
+                "anyway") in capsys.readouterr().err
+        assert main(["verify", *(str(out / rel) for rel in kept[:3])]) == 1
+        assert "over 3 reports" in capsys.readouterr().out
+        assert main(["verify", str(clean)]) == 1
+        assert "over 4 reports" in capsys.readouterr().out
 
 
 def passing_report(n, eps, seed, **overrides):
@@ -324,6 +336,21 @@ class TestVerifyCommand:
             f.write("{not json")
         assert main(["verify", path]) == 2
         assert "cannot read report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("config", None), ("max_U", "12"), ("config.n", "1000000")])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, field, value):
+        report = passing_report(1_000_000, 0.1, 0).to_dict()
+        if field == "config.n":
+            report["config"]["n"] = value
+        else:
+            report[field] = value
+        path = str(tmp_path / "report-bad.json")
+        with open(path, "w") as f:
+            json.dump(report, f)
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read report {path}: report {field} " in err
 
     def test_margin_direction(self):
         rows = evaluate_criteria(self.make_suite())

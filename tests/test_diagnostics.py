@@ -1,6 +1,7 @@
 """Diagnostics tests: exact reference moments, the forest census and
 excess, residual criticality, forest paths, and report plumbing."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -313,6 +314,25 @@ class TestReports:
     def test_missing_field_rejected(self):
         with pytest.raises(ConfigError):
             RunReport.from_dict({"config": {}})
+
+    def test_malformed_values_rejected(self):
+        good = make_report().to_dict()
+        # None is accepted where a value may be absent, ints and floats
+        # wherever a number goes.
+        for name, value in (("epsilon", None), ("u_at_m1", None),
+                            ("T_p_at_m1", 1), ("max_U", 12.0)):
+            d = json.loads(json.dumps(good))
+            (d["config"] if name == "epsilon" else d)[name] = value
+            RunReport.from_dict(d)
+        bad = [("config", None), ("config", [100]), ("n", "100"),
+               ("n", True), ("n", 100.0), ("n", None), ("epsilon", "0.1"),
+               ("epsilon", False), ("max_U", "12"), ("excess_total", True),
+               ("T_p_at_m1", [1.0])]
+        for name, value in bad:
+            d = json.loads(json.dumps(good))
+            (d["config"] if name in ("n", "epsilon") else d)[name] = value
+            with pytest.raises(ConfigError):
+                RunReport.from_dict(d)
 
     def test_metric_fields_exist(self):
         rep = make_report()

@@ -144,32 +144,53 @@ def test_csr_build_file_round_trip(lib, python_loops, tmp_path):
 
 @pytest.mark.parametrize("eu, ev", [([0], [7]), ([-1], [1]),
                                     ([0, 1], [2])])
-@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("as_int32", [True, False])
 def test_csr_build_rejects_endpoints_outside_the_graph(lib, python_loops,
-                                                       eu, ev, validate):
+                                                       eu, ev, as_int32):
     # Out of [0, n), or an endpoint without its partner: never read past
-    # the arrays, whether or not the caller asked for validation.
+    # the arrays, whether they arrive as lists or already in the int32 the
+    # kernel reads.
+    if as_int32:
+        eu, ev = np.array(eu, dtype=np.int32), np.array(ev, dtype=np.int32)
     for build in (Graph.from_edge_arrays,
-                  lambda *a, **k: python_loops(Graph.from_edge_arrays, *a,
-                                               **k)):
+                  lambda *a: python_loops(Graph.from_edge_arrays, *a)):
         with pytest.raises(ValueError):
-            build(3, eu, ev, validate=validate)
+            build(3, eu, ev)
+
+
+# Edge lists whose last edge breaks the order: u == v, u > v, before the
+# edge ahead of it, and a repeat.
+MISORDERED = ([[0, 0, 2], [1, 2, 2]], [[0, 0, 2], [1, 2, 1]],
+              [[0, 1, 0], [2, 2, 1]], [[0, 0, 0], [1, 2, 2]])
 
 
 def test_csr_build_checks_every_endpoint_before_writing(lib):
-    # The bad endpoint comes last, on either side: the kernel reports it,
-    # and nbrs is still untouched.
+    # The bad edge comes last: the kernel reports it, and nbrs is still
+    # untouched. An endpoint out of range, on either side, is fault 1.
+    faults = []
     for side in (0, 1):
         for bad in (3, -1):
             ends = np.array([[0, 0, 1], [1, 2, 2]], dtype=np.int32)
             ends[side, -1] = bad
-            indptr = np.zeros(4, dtype=np.int32)
-            nbrs = np.full(6, -7, dtype=np.int32)
-            assert lib.csr_build(3, ends[0], ends[1], 3, indptr, nbrs) == 1
-            assert (nbrs == -7).all()
+            faults.append((ends, 1))
+    faults += [(np.array(ends, dtype=np.int32), 2) for ends in MISORDERED]
+    for ends, fault in faults:
+        indptr = np.zeros(4, dtype=np.int32)
+        nbrs = np.full(6, -7, dtype=np.int32)
+        assert lib.csr_build(3, ends[0], ends[1], 3, indptr, nbrs) == fault
+        assert (nbrs == -7).all()
     # Past the 32-bit cap, refused before any array is read.
     assert lib.csr_build(3, ends[0], ends[1], 2**30, indptr, nbrs) == 1
     assert lib.csr_build(2**31, ends[0], ends[1], 3, indptr, nbrs) == 1
+
+
+def test_edge_order_fault_same_on_both_paths(lib, python_loops):
+    for eu, ev in MISORDERED:
+        for build in (Graph.from_edge_arrays,
+                      lambda *a: python_loops(Graph.from_edge_arrays, *a)):
+            with pytest.raises(ValueError, match=r"^edges must have u < v "
+                               r"and be lex-sorted and unique$"):
+                build(3, eu, ev)
 
 
 GAP_GRID_N = (0, 1, 2, 3, 4, 200, 5000)

@@ -9,11 +9,10 @@ import pytest
 
 from dfs_frontier import oracle
 from dfs_frontier.errors import ConfigError
-from dfs_frontier.oracle import (MAX_EXACT_COMPONENT, SmallGraphEnumeration,
-                                 compare_runs, enumeration_cases,
-                                 equivalence_sweep, exact_longest_path,
-                                 ledger_recompute, random_equivalence_trials,
-                                 trial_cases)
+from dfs_frontier.oracle import (MAX_EXACT_COMPONENT, compare_runs,
+                                 enumeration_cases, equivalence_sweep,
+                                 exact_longest_path, ledger_recompute,
+                                 random_equivalence_trials, trial_cases)
 from dfs_frontier.randomness import Graph, materialize_graph
 from dfs_frontier.reference_engine import QueryLedger, run_reference
 
@@ -80,24 +79,34 @@ class TestExactLongestPath:
 
 
 class TestSmallGraphEnumeration:
+    """enumeration_cases: every labelled graph on up to 5 vertices."""
+
+    def graphs_by_n(self):
+        by_n = {}
+        for label, g, _stride in enumeration_cases():
+            by_n.setdefault(g.n, {})[label] = g
+        return by_n
+
     def test_counts(self):
         # 2^C(n,2) labelled graphs.
-        assert [len(SmallGraphEnumeration(n)) for n in range(1, 6)] == [
-            1, 2, 8, 64, 1024]
+        assert [len(graphs) for _n, graphs in
+                sorted(self.graphs_by_n().items())] == [1, 2, 8, 64, 1024]
 
     def test_mask_encodes_lex_pairs(self):
-        e = SmallGraphEnumeration(4)
-        g = e.graph(0b000011)  # lex pairs (0,1), (0,2) set
+        # Mask 0b000011 sets lex pairs 0 and 1, (0,1) and (0,2).
+        g = self.graphs_by_n()[4]["n4-mask3"]
         assert g.edges() == [(0, 1), (0, 2)]
 
     def test_iteration_is_exhaustive_and_distinct(self):
-        e = SmallGraphEnumeration(3)
-        seen = {tuple(g.edges()) for _, g in e}
-        assert len(seen) == 8
+        for n, graphs in self.graphs_by_n().items():
+            seen = {tuple(g.edges()) for g in graphs.values()}
+            assert len(seen) == len(graphs) == 2 ** (n * (n - 1) // 2)
 
     def test_too_large_rejected(self):
-        with pytest.raises(ConfigError):
-            SmallGraphEnumeration(6)
+        # n_max is checked before the first graph is built.
+        for n_max in (0, 6):
+            with pytest.raises(ConfigError):
+                next(enumeration_cases(n_max))
 
 
 class TestEquivalenceSweep:
@@ -109,9 +118,6 @@ class TestEquivalenceSweep:
         assert res.ok and res.graphs_checked == 75
 
     def test_cases(self):
-        # n_max is checked before the first graph is built.
-        with pytest.raises(ConfigError):
-            next(enumeration_cases(6))
         assert [(label, g.m, stride) for label, g, stride
                 in enumeration_cases(2)] == [
             ("n1-mask0", 0, 1), ("n2-mask0", 0, 1), ("n2-mask1", 1, 1)]

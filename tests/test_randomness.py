@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dfs_frontier import randomness
 from dfs_frontier.errors import ConfigError, StreamExhausted
 from dfs_frontier.randomness import (BitStream, FixedBits, Graph,
                                      Xoshiro256StarStar, materialize_graph,
@@ -262,12 +263,15 @@ class TestInt32Labels:
         with pytest.raises(ValueError):
             Graph(3, [0, 1, 2, 2], [1.0, 0.0])
 
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_from_edge_arrays_rejects_wrapping_label(self, validate):
+    @pytest.mark.parametrize("native", [True, False])
+    def test_from_edge_arrays_rejects_wrapping_label(self, python_loops,
+                                                     native):
+        build = Graph.from_edge_arrays
+        if not native:
+            build = lambda *a: python_loops(Graph.from_edge_arrays, *a)
         for eu, ev in (([0], [WRAPS]), ([WRAPS - 1], [1])):
             with pytest.raises(ValueError):
-                Graph.from_edge_arrays(3, np.array(eu), np.array(ev),
-                                       validate=validate)
+                build(3, np.array(eu), np.array(ev))
 
     def test_read_graph_file_rejects_wrapping_label(self, tmp_path):
         # 2**64 does not fit int64 either.
@@ -302,7 +306,7 @@ class TestInt32Labels:
                 Graph.from_edge_arrays(2**31, [], [])
             ends = np.broadcast_to(np.int32(0), (2**30,))
             with pytest.raises(ConfigError):
-                Graph.from_edge_arrays(3, ends, ends, validate=False)
+                Graph.from_edge_arrays(3, ends, ends)
             with pytest.raises(ValueError):
                 Graph(2**31, [0], [])
             with pytest.raises(ValueError):
@@ -362,6 +366,16 @@ class TestMaterializeGraph:
         # the band is +/- 4 sigma.
         g = materialize_graph(100_000, 1.1e-5, 20260817)
         assert 54061 <= g.m <= 55938
+
+    @pytest.mark.parametrize("eu, ev", [([2], [1]), ([0, 0], [1, 1])])
+    def test_drawn_graph_is_checked(self, python_loops, monkeypatch, eu, ev):
+        # A swapped or repeated pair from the draw never reaches a run.
+        monkeypatch.setattr(randomness, "_gap_edges", lambda n, p, seed: (
+            np.array(eu, dtype=np.int32), np.array(ev, dtype=np.int32)))
+        with pytest.raises(ValueError, match="lex-sorted"):
+            materialize_graph(3, 0.5, 1)
+        with pytest.raises(ValueError, match="lex-sorted"):
+            python_loops(materialize_graph, 3, 0.5, 1)
 
     def test_small_n_edge_cases(self):
         assert materialize_graph(0, 0.5, 1).m == 0
