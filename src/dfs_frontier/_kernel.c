@@ -216,8 +216,8 @@ typedef struct {
  * final when it is popped, so the pop closes its two deepest child paths
  * and hands the deeper one, one edge longer, to its parent. Returns an
  * EXPLORE_* code; BAD_ADJACENCY means the CSR arrays are malformed (or too
- * large for 32-bit slots) and nothing is valid. The caller has checked the
- * CSR already; these checks keep a bad array from reaching memory. */
+ * large for 32-bit slots) and nothing is valid. These checks keep arrays
+ * overwritten since csr_build made them from reaching memory. */
 int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
             int64_t nnz, const int64_t *cps, int64_t ncp, int32_t *parents,
             int32_t *push_order, int64_t *push_m, int64_t *samples,

@@ -219,8 +219,9 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, d):
-        """ConfigError unless config is an object with an int n, and every
-        other field and config.epsilon a number or None (not bool or str)."""
+        """ConfigError unless config is an object with an int n >= 1, and
+        every other field, config.epsilon and config.p a finite number or
+        None (not bool or str), with epsilon, if given, in (0, 1)."""
         fields = set(cls.__dataclass_fields__)
         missing = fields - set(d)
         if missing:
@@ -230,11 +231,21 @@ class RunReport:
             raise ConfigError(f"report config is not an object: {config!r}")
         for name, value in (("config.n", config.get("n")),
                             ("config.epsilon", config.get("epsilon")),
+                            ("config.p", config.get("p")),
                             *((k, d[k]) for k in sorted(fields - {"config"}))):
             kinds = int if name == "config.n" else (int, float, type(None))
             if isinstance(value, bool) or not isinstance(value, kinds):
                 raise ConfigError(f"report {name} has the wrong type: "
                                   f"{value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"report {name} is not finite: {value!r}")
+        if config["n"] < 1:
+            raise ConfigError(f"report config.n must be >= 1, got "
+                              f"{config['n']}")
+        epsilon = config.get("epsilon")
+        if epsilon is not None and not 0.0 < epsilon < 1.0:
+            raise ConfigError(f"report config.epsilon must be in (0, 1), got "
+                              f"{epsilon!r}")
         return cls(**{k: d[k] for k in fields})
 
     @classmethod

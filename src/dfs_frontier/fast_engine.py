@@ -99,8 +99,9 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
     """Run the exploration protocol on a materialized graph.
 
     Deterministic given the graph. Returns a RunResult whose report and
-    samples match run_reference on the same graph moment for moment. An
-    adjacency row out of ascending order raises InvariantViolation.
+    samples match run_reference on the same graph moment for moment. A row
+    out of ascending order, which only arrays overwritten after Graph built
+    them can hold, raises InvariantViolation.
     """
     n = graph.n
     if n < 1:
@@ -137,7 +138,7 @@ _NO_MEMORY = 5
 
 
 def _explore_native(lib, graph, cps):
-    """The exploration loop in C, on the graph's checked int32 CSR."""
+    """The exploration loop in C, on the graph's int32 CSR."""
     n = graph.n
     cp_arr = np.array(cps, dtype=np.int64)
     parents = np.empty(n, dtype=np.int32)
@@ -153,7 +154,7 @@ def _explore_native(lib, graph, cps):
         raise InvariantViolation(message, dict(zip(keys, context)))
     if rc == _BAD_ADJACENCY:
         raise ConfigError(f"explore kernel rejects the CSR at n = {n}: past "
-                          "32-bit slots, or changed since Graph checked it")
+                          "32-bit slots, or changed since Graph built it")
     if rc == _NO_MEMORY:
         raise MemoryError(f"explore kernel at n = {n}")
     return rows[:taken], parents, push_order, push_m, m, max_u, max_u_m, lfp

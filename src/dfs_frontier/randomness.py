@@ -32,15 +32,16 @@ compiled without FP contraction or fast-math so that every step rounds as
 in Python); otherwise materialization drives BitStream's bounded skips
 through the same row walk. The tests require the two to agree bit for bit
 and check both against an explicit pair list. A graph is held as
-its CSR adjacency alone (`Graph`). Every builder, the draw included, places
-the edges into it by counting, in C (`csr_build`), with no sort; that pass
-also checks each edge (in range, u < v, after the last in lex order).
+its CSR adjacency alone (`Graph`), and its one constructor takes the edges,
+the draw's included: it places them by counting, in C (`csr_build`), with
+no sort, and that pass checks each edge (in range, u < v, after the last in
+lex order). So every Graph is a simple graph.
 
 Vertex labels and CSR offsets are int32, on both paths; clocks and pair
 ranks stay int64. So a graph has n < 2**31 vertices and fewer than 2**31
-CSR entries (2m): `materialize_graph`, `Graph` and `Graph.from_edge_arrays`
-reject a larger one before they allocate, and check labels and offsets in
-the dtype they arrive in, so that a cast to int32 never wraps.
+CSR entries (2m): `materialize_graph` and `Graph` reject a larger one
+before they allocate, and check labels in the dtype they arrive in, so that
+a cast to int32 never wraps.
 
 The floor of a libm quotient is stable for a given libm; a 1-ulp difference
 in log1p across platforms could in principle move one gap boundary with
@@ -207,44 +208,18 @@ def _integers(a):
 
 class Graph:
     """An undirected simple graph held as its CSR adjacency alone: row v,
-    nbrs[indptr[v]:indptr[v + 1]], lists v's neighbours ascending, so m is
-    half the entries. Both arrays are contiguous int32, so n and len(nbrs)
-    are below 2**31. The constructor checks the arrays in the dtype they
-    arrive in, then casts them, and raises ValueError on a size past that
-    cap or a bad shape, offset or label, so consumers may index with them;
-    row order is left to the exploration walk's guards.
+    nbrs[indptr[v]:indptr[v + 1]], lists v's neighbours ascending. Its one
+    constructor takes the edges as endpoint arrays, u < v, lex-sorted and
+    unique (`from_edge_arrays` is the same call; `from_edges`,
+    `materialize_graph` and `read_graph_file` build through it), so the
+    CSR is always the one `csr_build` or `_csr_numpy` made from checked
+    edges, contiguous int32, and m is the edge count. n >= 2**31 or 2**30
+    edges and more raise ConfigError before anything is allocated; an
+    endpoint outside [0, n), checked in the arrays' own dtype before the
+    cast to int32, a bad shape or an edge out of order raises ValueError.
     """
 
-    def __init__(self, n, indptr, nbrs):
-        if not 0 <= n < LABEL_LIMIT:
-            raise ValueError(f"n = {n} is outside [0, 2**31)")
-        indptr = _integers(indptr)
-        nbrs = _integers(nbrs)
-        if (indptr.shape != (n + 1,) or nbrs.ndim != 1
-                or len(nbrs) >= LABEL_LIMIT):
-            raise ValueError(f"CSR arrays of shapes {indptr.shape} and "
-                             f"{nbrs.shape} do not describe {n} vertices "
-                             "with fewer than 2**31 entries")
-        if (indptr[0] != 0 or indptr[-1] != len(nbrs)
-                or (indptr[1:] < indptr[:-1]).any()):
-            raise ValueError("indptr must rise from 0 to len(nbrs)")
-        if len(nbrs) and (nbrs.min() < 0 or nbrs.max() >= n):
-            raise ValueError(f"neighbour label outside [0, {n})")
-        # Every entry now lies in [0, 2**31): the casts cannot wrap.
-        self.n = n
-        self.m = len(nbrs) // 2
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int32)
-        self.nbrs = np.ascontiguousarray(nbrs, dtype=np.int32)
-
-    @classmethod
-    def from_edge_arrays(cls, n, eu, ev):
-        """Build from parallel arrays of endpoints, u < v, lex-sorted. The
-        graph keeps only the CSR built from them: by the native kernel when
-        it loads, else by a stable sort, with the same bytes. n >= 2**31 or
-        2**30 edges and more (2**31 CSR entries) raise ConfigError before
-        anything is allocated. An endpoint outside [0, n), checked in the
-        arrays' own dtype before the cast to int32, or an edge out of order
-        raises ValueError."""
+    def __init__(self, n, eu, ev):
         if not 0 <= n < LABEL_LIMIT:
             raise ConfigError(f"n must be in [0, 2**31), got {n}")
         eu = _integers(eu)
@@ -262,14 +237,24 @@ class Graph:
         from . import _native
         lib = _native.kernel()
         if lib is None:
-            return cls(n, *_csr_numpy(n, eu, ev))
-        indptr = np.empty(n + 1, dtype=np.int32)
-        nbrs = np.empty(2 * len(eu), dtype=np.int32)
-        fault = lib.csr_build(n, eu, ev, len(eu), indptr, nbrs)
-        if fault:
-            raise ValueError("vertex id out of range" if fault == 1
-                             else _ORDER_FAULT)
-        return cls(n, indptr, nbrs)
+            indptr, nbrs = _csr_numpy(n, eu, ev)
+        else:
+            indptr = np.empty(n + 1, dtype=np.int32)
+            nbrs = np.empty(2 * len(eu), dtype=np.int32)
+            fault = lib.csr_build(n, eu, ev, len(eu), indptr, nbrs)
+            if fault:
+                raise ValueError("vertex id out of range" if fault == 1
+                                 else _ORDER_FAULT)
+        self.n = n
+        self.m = len(eu)
+        self.indptr = indptr
+        self.nbrs = nbrs
+
+    @classmethod
+    def from_edge_arrays(cls, n, eu, ev):
+        """Graph(n, eu, ev): the name the builders and the benchmark's
+        trace use for the CSR build."""
+        return cls(n, eu, ev)
 
     @classmethod
     def from_edges(cls, n, edges):

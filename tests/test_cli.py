@@ -176,6 +176,15 @@ class TestSweepCommand:
             "warning: epsilon=0.7 is outside the design band (0, 0.5]; the "
             "supercritical approximations degrade"]
 
+    @pytest.mark.parametrize("flag", ["--seeds", "--jobs"])
+    def test_zero_seeds_or_jobs_exit_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "x"
+        rc = main(["sweep", "--n", "60", "--epsilon", "0.2", "--seeds", "1",
+                   flag, "0", "--out", str(out)])
+        assert rc == 2
+        assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_guard(self, tmp_path, capsys):
         rc = main(["sweep", "--n", "60", "--epsilon", "0.2",
                    "--seeds", "201", "--out", str(tmp_path / "x")])
@@ -330,6 +339,17 @@ class TestVerifyCommand:
         assert main(["verify", d]) == 2
         capsys.readouterr()
 
+    def test_p_only_report_skips_stack_rows(self, tmp_path, capsys):
+        d = str(tmp_path / "run")
+        assert main(["run", "--n", "2000", "--p", "0.0006", "--seed", "1",
+                     "--out", d]) == 0
+        capsys.readouterr()
+        assert main(["verify", d]) == 0
+        out = capsys.readouterr().out
+        assert ("SKIP stack_at_m1 [n=2000 eps=None seeds=1]  config has no "
+                "epsilon") in out
+        assert "PASS" not in out and "FAIL" not in out
+
     def test_garbage_report_exits_2(self, tmp_path, capsys):
         path = str(tmp_path / "report-bad.json")
         with open(path, "w") as f:
@@ -337,12 +357,16 @@ class TestVerifyCommand:
         assert main(["verify", path]) == 2
         assert "cannot read report" in capsys.readouterr().err
 
+    # verify cannot judge a NaN or an infinity (json writes them as NaN and
+    # Infinity), and epsilon 0 or n 0 would divide by zero or take log(0).
     @pytest.mark.parametrize("field, value", [
-        ("config", None), ("max_U", "12"), ("config.n", "1000000")])
+        ("config", None), ("max_U", "12"), ("config.n", "1000000"),
+        ("max_U", float("nan")), ("T_p_at_m1", float("inf")),
+        ("config.epsilon", 0.0), ("config.n", 0)])
     def test_malformed_report_exits_2(self, tmp_path, capsys, field, value):
         report = passing_report(1_000_000, 0.1, 0).to_dict()
-        if field == "config.n":
-            report["config"]["n"] = value
+        if field.startswith("config."):
+            report["config"][field[len("config."):]] = value
         else:
             report[field] = value
         path = str(tmp_path / "report-bad.json")

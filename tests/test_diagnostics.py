@@ -324,13 +324,19 @@ class TestReports:
             d = json.loads(json.dumps(good))
             (d["config"] if name == "epsilon" else d)[name] = value
             RunReport.from_dict(d)
+        nan, inf = float("nan"), float("inf")
+        # Values verify cannot judge: non-finite numbers, n below 1 and an
+        # epsilon outside (0, 1), the domain of reference_moments.
         bad = [("config", None), ("config", [100]), ("n", "100"),
                ("n", True), ("n", 100.0), ("n", None), ("epsilon", "0.1"),
                ("epsilon", False), ("max_U", "12"), ("excess_total", True),
-               ("T_p_at_m1", [1.0])]
+               ("T_p_at_m1", [1.0]), ("p", "0.1"), ("n", 0), ("n", -3),
+               ("epsilon", 0.0), ("epsilon", 1.0), ("epsilon", -0.1),
+               ("epsilon", nan), ("p", inf), ("p", nan), ("max_U", nan),
+               ("T_p_at_m1", inf), ("T_p_at_m2", -inf)]
         for name, value in bad:
             d = json.loads(json.dumps(good))
-            (d["config"] if name in ("n", "epsilon") else d)[name] = value
+            (d["config"] if name in ("n", "epsilon", "p") else d)[name] = value
             with pytest.raises(ConfigError):
                 RunReport.from_dict(d)
 

@@ -149,12 +149,17 @@ class TestSmallTraces:
         assert res.report.longest_forest_path == 5
         assert res.report.max_U == 6
 
-    def test_unsorted_adjacency_raises(self):
-        # Row 0 is [2, 1]: without the guard the run silently returns the
-        # wrong forest [-1, 0, 0].
-        g = Graph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
-        with pytest.raises(InvariantViolation, match="at or below frontier"):
-            run_fast(g)
+    @pytest.mark.parametrize("native", [True, False])
+    def test_unsorted_adjacency_raises(self, python_loops, native):
+        # Row 0 overwritten to [2, 1] after Graph built it: without the guard
+        # the run silently returns the wrong forest [-1, 0, 0]. Both loops
+        # stop at the same query: 0 meets 1 after its frontier moved to 2.
+        g = Graph.from_edges(3, [(0, 1), (0, 2)])
+        g.nbrs[:2] = [2, 1]
+        with pytest.raises(InvariantViolation,
+                           match="^T-neighbor at or below frontier$") as exc:
+            run_fast(g) if native else python_loops(run_fast, g)
+        assert exc.value.context == {"vertex": 0, "frontier": 2, "target": 1}
 
     def test_samples_are_int64_rows(self, python_loops):
         # Both loops and the reference engine hand back one C-contiguous
@@ -172,6 +177,17 @@ class TestSmallTraces:
             total = res.report.dfs_query_total
             assert rows[:, 0].tolist() == list(range(total + 1)), name
             assert rows[-1].tolist() == [total, 40, 0, 0, 0, total, 0]
+
+    def test_infeasible_epsilon_leaves_moment_fields_empty(self):
+        # m2 of eps = 0.9 does not fit in C(4, 2): the report has no
+        # reference moments, and the default schedule is {0}.
+        res = run_fast(Graph.from_edges(4, [(0, 1)]), epsilon=0.9,
+                       p=1.9 / 4)
+        rep = res.report
+        assert (rep.u_at_m1, rep.q_UT_at_m1) == (None, None)
+        assert (rep.T_p_at_m1, rep.T_p_at_m2) == (None, None)
+        assert res.samples.tolist() == [[0, 0, 1, 3, 0, 0, 0]]
+        assert rep.dfs_query_total == 6 and rep.excess_total == 0
 
     def test_validation(self):
         g = Graph.from_edges(2, [(0, 1)])

@@ -76,17 +76,19 @@ def test_explore_checkpoints_past_the_pair_space(lib, python_loops):
 
 
 def test_explore_one_directional_rows(lib, python_loops):
-    # Rows need not mirror each other. The kernel's slot layout then groups
-    # the vertices more coarsely than the walk meets them, which changes
-    # nothing: both paths pick roots and neighbors by label.
+    # Rows written over a Graph's CSR need not mirror each other. The
+    # kernel's slot layout then groups the vertices more coarsely than the
+    # walk meets them, which changes nothing: both paths pick roots and
+    # neighbors by label.
     rng = np.random.default_rng(11)
     for _ in range(60):
         n = int(rng.integers(2, 40))
         rows = [sorted(set(rng.integers(0, n, rng.integers(0, 4)).tolist())
                        - {v}) for v in range(n)]
-        indptr = np.cumsum([0] + [len(r) for r in rows])
-        nbrs = np.array([x for r in rows for x in r], dtype=np.int64)
-        graph = Graph(n, indptr, nbrs)
+        graph = Graph(n, [], [])
+        graph.indptr = np.cumsum([0] + [len(r) for r in rows],
+                                 dtype=np.int32)
+        graph.nbrs = np.array([x for r in rows for x in r], dtype=np.int32)
         native = run_fast(graph, [0])
         python = python_loops(run_fast, graph, [0])
         for name in ("parents", "push_order", "push_m"):
@@ -96,7 +98,7 @@ def test_explore_one_directional_rows(lib, python_loops):
 
 
 def test_explore_rejects_csr_changed_after_checks(lib):
-    # Graph checked its CSR; a label written into it later is caught by the
+    # Graph built its CSR; a label written into it later is caught by the
     # kernel's own range check and raised, not run again on Python.
     graph = Graph.from_edges(3, [(0, 1)])
     graph.nbrs[0] = 5

@@ -8,6 +8,7 @@ import pytest
 
 from dfs_frontier import randomness
 from dfs_frontier.errors import ConfigError, StreamExhausted
+from dfs_frontier.oracle import enumeration_cases, trial_cases
 from dfs_frontier.randomness import (BitStream, FixedBits, Graph,
                                      Xoshiro256StarStar, materialize_graph,
                                      pair_count, read_graph_file, splitmix64,
@@ -221,17 +222,33 @@ class TestGraph:
         assert 0 in g.neighbors(3) and 2 not in g.neighbors(1)
 
     def test_rejects_malformed_csr(self):
-        # n = 3, two entries per case; each array pair breaks one rule.
-        cases = [([0, 1, 2, 2], [-1, 0]),     # label below 0
-                 ([0, 1, 2, 2], [1, 3]),      # label n
-                 ([0, 2, 1, 2], [1, 0]),      # indptr decreases
-                 ([0, 1, 2, 3], [1, 0]),      # indptr[-1] != len(nbrs)
-                 ([1, 1, 2, 2], [1, 0]),      # indptr[0] != 0
-                 ([0, 1, 2], [1, 0])]         # indptr of the wrong shape
-        for indptr, nbrs in cases:
+        # Graph takes edges, never a CSR. Arrays in the (n, indptr, nbrs)
+        # form read as endpoints of unequal length, or with len(nbrs) >= n
+        # as an endpoint, so each raises, valid CSR or not.
+        cases = [(2, [0, 1, 1], [1]),         # row 1 does not mirror row 0
+                 (3, [0, 1, 2, 2], [1, 0]),   # the CSR of the edge (0, 1)
+                 (3, [0, 1, 2, 2], [-1, 0]),  # label below 0
+                 (3, [0, 1, 2, 2], [1, 3]),   # label n
+                 (3, [0, 2, 1, 2], [1, 0]),   # indptr decreases
+                 (3, [0, 1, 2, 3], [1, 0]),   # indptr[-1] != len(nbrs)
+                 (3, [1, 1, 2, 2], [1, 0]),   # indptr[0] != 0
+                 (3, [0, 1, 2], [1, 0])]      # indptr of the wrong shape
+        for n, indptr, nbrs in cases:
             with pytest.raises(ValueError):
-                Graph(3, np.array(indptr), np.array(nbrs))
-        g = Graph(3, [0, 1, 2, 2], [1, 0])
+                Graph(n, np.array(indptr), np.array(nbrs))
+
+    def test_every_graph_is_simple(self):
+        # Rows strictly ascending, no self-loop, rows that mirror, and m the
+        # number of upper entries, on every graph the oracle checks.
+        for label, g, _stride in (*enumeration_cases(), *trial_cases(56)):
+            rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+            in_row = rows[1:] == rows[:-1]
+            assert (np.diff(g.nbrs)[in_row] > 0).all(), label
+            assert (g.nbrs != rows).all(), label
+            pairs = set(zip(rows.tolist(), g.nbrs.tolist()))
+            assert pairs == {(w, v) for v, w in pairs}, label
+            assert g.m == int((g.nbrs > rows).sum()), label
+        g = Graph(3, [0], [1])
         assert g.m == 1 and g.edges() == [(0, 1)]
         assert g.indptr.dtype == g.nbrs.dtype == np.int32
 
@@ -252,16 +269,18 @@ WRAPS = 2**32 + 1     # 1 once cast to int32
 
 
 class TestInt32Labels:
-    """Labels and offsets are range-checked in the dtype they arrive in,
-    before the cast to int32, and sizes past 2**31 are refused up front."""
+    """Labels are range-checked in the dtype they arrive in, before the
+    cast to int32, and sizes past 2**31 are refused up front."""
 
-    def test_graph_rejects_wrapping_label_and_offset(self):
-        with pytest.raises(ValueError):
-            Graph(3, np.array([0, 1, 2, 2]), np.array([WRAPS, 0]))
-        with pytest.raises(ValueError):
-            Graph(3, np.array([0, 1, 2, 2 + 2**32]), np.array([1, 0]))
-        with pytest.raises(ValueError):
-            Graph(3, [0, 1, 2, 2], [1.0, 0.0])
+    def test_graph_rejects_float_and_wrapping_labels(self):
+        # A float would slip past the range check; an unsigned label past
+        # 2**32 would wrap to 1.
+        for eu, ev in (([0], [1.0]), ([0.0], [1])):
+            with pytest.raises(ValueError, match="integers"):
+                Graph(3, eu, ev)
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(3, np.array([0], dtype=np.uint64),
+                  np.array([WRAPS], dtype=np.uint64))
 
     @pytest.mark.parametrize("native", [True, False])
     def test_from_edge_arrays_rejects_wrapping_label(self, python_loops,
@@ -307,10 +326,6 @@ class TestInt32Labels:
             ends = np.broadcast_to(np.int32(0), (2**30,))
             with pytest.raises(ConfigError):
                 Graph.from_edge_arrays(3, ends, ends)
-            with pytest.raises(ValueError):
-                Graph(2**31, [0], [])
-            with pytest.raises(ValueError):
-                Graph(1, [0, 2**31], np.broadcast_to(np.int32(0), (2**31,)))
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
