@@ -13,10 +13,11 @@
  * turns contraction off), so that u, log1p(-u) and the quotient round
  * exactly as in Python.
  *
- * Vertex labels, CSR offsets and the forest's labels (parents, push order)
- * are int32_t; clocks, pair ranks and trajectory rows are int64_t. So n and
- * the CSR's entry count are below 2^31: the Python callers reject larger
- * graphs before they allocate, and csr_build and explore check again.
+ * Vertex labels, CSR offsets and the walk's labels and push counts (tree
+ * records, parents, push order) are int32_t; clocks, pair ranks and
+ * trajectory rows are int64_t. So n and the CSR's entry count are below
+ * 2^31: the Python callers reject larger graphs before they allocate, and
+ * csr_build and explore check again.
  */
 #include <math.h>
 #include <stdint.h>
@@ -202,11 +203,18 @@ typedef struct {
  * components follow each other in the order of their smallest labels, the
  * order the walk visits them in. Adjacency rows hold slots and labels are
  * looked up per slot, so the walk reads memory close to what it read last,
- * where in label order nearly every step was a cache miss. A vertex's
- * parent (int32, -1 for a root) and push moment (int64) are written under
- * its label when it is pushed, and the label itself to push_order.
+ * where in label order nearly every step was a cache miss.
  * The layout decides nothing: roots, scan order and counts all go by label,
  * so any slot assignment gives the same result.
+ *
+ * Each DFS tree is one connected component, so the walk's output for the
+ * census is one record per tree, written in order at its root's push: the
+ * root's label (tree_root), the number of pushes before it (tree_start) and
+ * the clock (tree_m). Each of the three holds n entries; info[8] receives
+ * the number of trees. The forest itself is optional: when parents,
+ * push_order and push_m are given (all three or none), a vertex's parent
+ * (int32, -1 for a root) and push moment (int64) are written under its
+ * label when it is pushed, and the label itself to push_order.
  *
  * cps holds the ncp sorted checkpoints that are <= C(n, 2); every one met
  * inside a jump is written to samples as a row (m, |S|, |U|, |T|, q_ST, q_SU,
@@ -219,7 +227,8 @@ typedef struct {
  * large for 32-bit slots) and nothing is valid. These checks keep arrays
  * overwritten since csr_build made them from reaching memory. */
 int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
-            int64_t nnz, const int64_t *cps, int64_t ncp, int32_t *parents,
+            int64_t nnz, const int64_t *cps, int64_t ncp, int32_t *tree_root,
+            int32_t *tree_start, int64_t *tree_m, int32_t *parents,
             int32_t *push_order, int64_t *push_m, int64_t *samples,
             int64_t *info)
 {
@@ -230,14 +239,18 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
      * fault per 4 KiB) to some of the runs. */
     size_t nn = (size_t)n, nw = (nn + 63) >> 6;
     char *block = malloc(nn * sizeof(frame) + nw * sizeof(uint64_t)
-                         + (nw + 3 * nn + (size_t)nnz + 2) * sizeof(int32_t));
+                         + (nw + 2 * nn + (size_t)nnz + 2) * sizeof(int32_t));
     if (!block)
         return NO_MEMORY;
     frame *stack = (frame *)block;
     tset t = {(uint64_t *)(stack + nn), NULL, (int64_t)nw};
     t.tree = (int32_t *)(t.bits + nw);
-    int32_t *slot = t.tree + nw + 1;
-    int32_t *lab = slot + nn;
+    /* slot[v], v's slot, lives in tree_start's entries: the walk reads it
+     * only at root pushes, and the record of tree k overwrites entry k when
+     * its root, label k or more, is pushed. Roots ascend, so every later
+     * root's entry is still a slot when it is read. */
+    int32_t *slot = tree_start;
+    int32_t *lab = t.tree + nw + 1;
     int32_t *row = lab + nn;
     int32_t *adj = row + nn + 1;
     int rc = EXPLORE_OK;
@@ -323,7 +336,7 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
         if (up <= t.nw)
             t.tree[up] += t.tree[j];
     }
-    int64_t top = 0, npush = 0, size_t_ = n, size_s = 0, m = 0;
+    int64_t top = 0, npush = 0, ntree = 0, size_t_ = n, size_s = 0, m = 0;
     int64_t max_u = 0, max_u_m = 0, min_word = 0, cp_i = 0;
     int64_t best = 0;    /* longest path among the completed subtrees */
 
@@ -338,6 +351,9 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
             u = -1;
             w = (int32_t)(64 * min_word + popcount64((word & -word) - 1));
             ws = slot[w];
+            tree_root[ntree] = w;
+            tree_start[ntree] = (int32_t)npush;
+            tree_m[ntree++] = m;
         } else {
             frame *fr = &stack[top - 1];
             u = fr->v;
@@ -435,9 +451,12 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
         nf->end = row[ws + 1];
         nf->d1 = 0;
         nf->d2 = 0;
-        parents[w] = u;
-        push_m[w] = m;
-        push_order[npush++] = w;
+        if (parents) {
+            parents[w] = u;
+            push_m[w] = m;
+            push_order[npush] = w;
+        }
+        npush++;
         if (top > max_u) {
             max_u = top;
             max_u_m = m;
@@ -448,6 +467,7 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
     info[2] = max_u_m;
     info[3] = cp_i;
     info[7] = best;
+    info[8] = ntree;
 done:
     free(block);
     return rc;

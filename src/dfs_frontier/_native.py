@@ -31,7 +31,6 @@ import sysconfig
 import tempfile
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(_HERE, "_kernel.c")
@@ -98,18 +97,32 @@ def _build():
     return target
 
 
+def address(array, dtype):
+    """The address of `array`'s first entry, to pass for a kernel's pointer
+    argument (declared c_void_p, which costs far less per call than an
+    ndpointer), or None (NULL) for None. TypeError, before the kernel is
+    called, unless `array` is a C-contiguous ndarray of `dtype`, the layout
+    the kernel reads."""
+    if array is None:
+        return None
+    if (not isinstance(array, np.ndarray) or array.dtype != dtype
+            or not array.flags.c_contiguous):
+        raise TypeError(f"kernel argument must be a C-contiguous "
+                        f"{np.dtype(dtype)} array")
+    return array.ctypes.data
+
+
 def _declare(lib):
-    """Argument types of the three entry points: labels and CSR offsets are
-    int32 arrays (lab), clocks, ranks and counts int64 (arr)."""
+    """Argument types of the three entry points. Arrays are passed as
+    addresses from `address`: labels and CSR offsets int32, clocks, ranks
+    and counts int64, the generator state uint64."""
     i64 = ctypes.c_int64
-    arr = ndpointer(np.int64, flags="C_CONTIGUOUS")
-    lab = ndpointer(np.int32, flags="C_CONTIGUOUS")
-    lib.gap_draw.argtypes = [ndpointer(np.uint64, flags="C_CONTIGUOUS"),
-                             ctypes.c_double, i64, arr, lab, lab, i64]
+    ptr = ctypes.c_void_p
+    lib.gap_draw.argtypes = [ptr, ctypes.c_double, i64, ptr, ptr, ptr, i64]
     lib.gap_draw.restype = i64
-    lib.csr_build.argtypes = [i64, lab, lab, i64, lab, lab]
+    lib.csr_build.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
     lib.csr_build.restype = ctypes.c_int
-    lib.explore.argtypes = [i64, lab, lab, i64, arr, i64, lab, lab, arr,
-                            arr, arr]
+    lib.explore.argtypes = [i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr,
+                            ptr, ptr, ptr, ptr]
     lib.explore.restype = ctypes.c_int
     return lib

@@ -120,24 +120,24 @@ class ComponentCensus:
     second_size: int
     giant_root: int        # smallest label of the selected largest component
     n_components: int
+    giant_entry_m: int     # clock at the push of giant_root
 
 
-def component_census(parents, push_order):
-    """Connected components read off a complete DFS forest.
+def component_census(n, roots, starts, root_m):
+    """Connected components of an n-vertex graph from the records of its
+    complete DFS forest's trees, in push order: each tree's root label, the
+    number of pushes before the root and the clock at the root's push.
 
     Each DFS tree spans exactly one component, and its root is the
     component's smallest label: every smaller label is already completed
-    when the root is pushed. Trees are contiguous runs of `push_order`, each
-    starting at a root (parents[v] < 0), so the sizes are the gaps between
-    consecutive root positions. Roots are pushed in increasing label order,
-    hence the first largest tree is the largest component with the smallest
-    minimum label. Lists or arrays of any integer dtype are read as given,
-    without a widening copy.
+    when the root is pushed. Trees are contiguous runs of the push order,
+    so the sizes are the gaps between consecutive starts. Roots are pushed
+    in increasing label order, hence the first largest tree is the largest
+    component with the smallest minimum label, and the giant is first
+    entered when its root is pushed. Lists or arrays of any integer dtype
+    are read as given, without a widening copy.
     """
-    n = len(parents)
-    order = np.asarray(push_order)
-    parent = np.asarray(parents)
-    starts = np.flatnonzero(parent[order] < 0)
+    starts = np.asarray(starts)
     sizes = np.empty_like(starts)
     sizes[:-1] = starts[1:]
     sizes[-1] = n
@@ -147,8 +147,19 @@ def component_census(parents, push_order):
     sizes[g] = 0
     return ComponentCensus(giant_size=giant_size,
                            second_size=int(sizes.max()),
-                           giant_root=int(order[starts[g]]),
-                           n_components=int(starts.size))
+                           giant_root=int(roots[g]),
+                           n_components=len(sizes),
+                           giant_entry_m=int(root_m[g]))
+
+
+def forest_trees(parents, push_order, push_m):
+    """The tree records component_census reads, (roots, starts, root_m),
+    taken from a complete DFS forest: a tree starts wherever the push order
+    reaches a root (parents[v] < 0)."""
+    order = np.asarray(push_order)
+    starts = np.flatnonzero(np.asarray(parents)[order] < 0)
+    roots = order[starts]
+    return roots, starts, np.asarray(push_m)[roots]
 
 
 def forest_diameter_from_parents(parents, order):
@@ -330,8 +341,8 @@ def aggregate(reports):
 @dataclass
 class RunResult:
     """What an engine returns. The forest is arrays from run_fast (int32
-    labels, int64 push moments) and lists from run_reference, which alone
-    fills the last two fields."""
+    labels, int64 push moments), None unless it was asked for, and lists
+    from run_reference, which alone fills the last two fields."""
     report: RunReport
     samples: np.ndarray       # trajectory: a row per reached checkpoint
     parents: object           # DFS forest: parents[v] = parent or -1
@@ -343,13 +354,15 @@ class RunResult:
 
 def assemble_run_report(engine, *, n, epsilon, p, seed, samples, max_U,
                         max_U_argmax_m, dfs_query_total, longest_forest_path,
-                        parents, push_order, push_m, edge_count=None):
+                        census, edge_count=None):
     """Build a RunReport, config included, from raw engine outputs.
 
     Shared by the engines so report semantics cannot drift between them.
-    Each engine computes `longest_forest_path` its own way (the fast engine
-    during its walk, the reference engine with forest_diameter_from_parents),
-    so the oracle's report comparison checks one against the other. Fields
+    Each engine computes `longest_forest_path` and the tree records behind
+    its ComponentCensus its own way (the fast engine during its walk, the
+    reference engine from its finished forest, with
+    forest_diameter_from_parents and forest_trees), so the oracle's report
+    comparison checks one against the other. Fields
     whose inputs are unavailable (no epsilon or no reference moments,
     checkpoint not reached, no edge count of the whole graph for
     excess_total) come out None. `samples` is a trajectory array; m1 and m2
@@ -375,7 +388,6 @@ def assemble_run_report(engine, *, n, epsilon, p, seed, samples, max_U,
             t_p_at_m1 = size_t * p
     if s2 is not None and p is not None:
         t_p_at_m2 = s2[3] * p          # size_T
-    census = component_census(parents, push_order)
     excess_total = None
     if edge_count is not None:
         excess_total = edge_count - n + census.n_components
@@ -388,7 +400,7 @@ def assemble_run_report(engine, *, n, epsilon, p, seed, samples, max_U,
         excess_total=excess_total, giant_size=census.giant_size,
         second_size=census.second_size, T_p_at_m1=t_p_at_m1,
         T_p_at_m2=t_p_at_m2,
-        first_giant_entry_m=int(push_m[census.giant_root]),
+        first_giant_entry_m=census.giant_entry_m,
         dfs_query_total=dfs_query_total)
 
 

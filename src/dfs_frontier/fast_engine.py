@@ -27,9 +27,14 @@ is the implementation that checks them against honestly maintained buckets.
 The walk also yields the report's longest_forest_path: a vertex's subtree
 is final when it is popped, so the pop closes the two deepest paths down
 into its children and offers the deeper one, one edge longer, to its
-parent. The reference engine computes the same number from the finished
-forest with diagnostics.forest_diameter_from_parents, so the oracle checks
-one against the other.
+parent. And it yields the component census: the stack empties exactly when
+a component is done, so each DFS tree is one component, and each root push
+writes the tree's record (root label, pushes before it, clock), which
+diagnostics.component_census reduces. The reference engine computes both
+from its finished forest instead (forest_diameter_from_parents,
+forest_trees), so the oracle checks one against the other. The per-vertex
+forest (parents, push order, push moments) is written only on request, for
+the oracle and the tests; `run` asks for none.
 
 The loop runs in C (`explore` in _kernel.c, compiled on first use by
 _native) on a copy of the graph laid out component by component, so that
@@ -38,18 +43,18 @@ frame for frame (one stack frame per U-member, one push site for roots and
 children alike), on the graph in label order. It runs instead only when
 the kernel does not load (no C compiler), never for a particular graph.
 Both read the graph's int32 CSR, return the samples as one int64 row per
-checkpoint, in TRAJECTORY_COLUMNS order, and the forest as parents and
-push order in int32 (vertex labels, below n < 2**31) and push moments in
-int64 (clocks), and raise the same InvariantViolation on the same input;
-the tests compare them on every small graph.
+checkpoint, in TRAJECTORY_COLUMNS order, the tree records and the forest
+with labels and push counts in int32 (below n < 2**31) and clocks in
+int64, and raise the same InvariantViolation on the same input; the tests
+compare them on every small graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diagnostics import (RunResult, assemble_run_report, engine_checkpoints,
-                          trajectory_array)
+from .diagnostics import (RunResult, assemble_run_report, component_census,
+                          engine_checkpoints, trajectory_array)
 from .errors import ConfigError, InvariantViolation
 
 
@@ -95,13 +100,17 @@ class TIndex:
             i += i & -i
 
 
-def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
+def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
+             forest=False):
     """Run the exploration protocol on a materialized graph.
 
     Deterministic given the graph. Returns a RunResult whose report and
-    samples match run_reference on the same graph moment for moment. A row
-    out of ascending order, which only arrays overwritten after Graph built
-    them can hold, raises InvariantViolation.
+    samples match run_reference on the same graph moment for moment. The
+    report's component fields come from the walk's tree records; the
+    forest (parents, push order, push moments) is built only when `forest`
+    is true, and is None otherwise. A row out of ascending order, which
+    only arrays overwritten after Graph built them can hold, raises
+    InvariantViolation.
     """
     n = graph.n
     if n < 1:
@@ -110,9 +119,9 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
 
     from . import _native
     lib = _native.kernel()
-    explored = (_explore_python(graph, cps) if lib is None
-                else _explore_native(lib, graph, cps))
-    samples, parents, push_order, push_m, m, max_u, max_u_m, lfp = explored
+    explored = (_explore_python(graph, cps, forest) if lib is None
+                else _explore_native(lib, graph, cps, forest))
+    samples, trees, walked, m, max_u, max_u_m, lfp = explored
 
     # The loops sample inside jumps; cps holds the final clock at most once.
     if len(samples) < len(cps) and cps[len(samples)] == m:
@@ -121,9 +130,9 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None):
     report = assemble_run_report(
         "fast", n=n, epsilon=epsilon, p=p, seed=seed, samples=samples,
         max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
-        longest_forest_path=lfp, parents=parents, push_order=push_order,
-        push_m=push_m, edge_count=graph.m)
-    return RunResult(report, samples, parents, push_order, push_m)
+        longest_forest_path=lfp, census=component_census(n, *trees),
+        edge_count=graph.m)
+    return RunResult(report, samples, *(walked or (None, None, None)))
 
 
 # Kernel return codes of explore() in _kernel.c that are invariant
@@ -137,18 +146,28 @@ _BAD_ADJACENCY = 4
 _NO_MEMORY = 5
 
 
-def _explore_native(lib, graph, cps):
-    """The exploration loop in C, on the graph's int32 CSR."""
+def _explore_native(lib, graph, cps, forest):
+    """The exploration loop in C, on the graph's int32 CSR; returns what
+    _explore_python returns."""
+    from ._native import address as at
     n = graph.n
-    cp_arr = np.array(cps, dtype=np.int64)
-    parents = np.empty(n, dtype=np.int32)
-    push_order = np.empty(n, dtype=np.int32)
-    push_m = np.empty(n, dtype=np.int64)
-    rows = np.empty((len(cp_arr), 7), dtype=np.int64)
-    info = np.zeros(8, dtype=np.int64)
-    rc = lib.explore(n, graph.indptr, graph.nbrs, len(graph.nbrs), cp_arr,
-                     len(cp_arr), parents, push_order, push_m, rows, info)
-    m, max_u, max_u_m, taken, *context, lfp = info.tolist()
+    i32, i64 = np.int32, np.int64
+    cp_arr = np.array(cps, dtype=i64)
+    root, start, root_m = (np.empty(n, dtype=i32), np.empty(n, dtype=i32),
+                           np.empty(n, dtype=i64))
+    parents = push_order = push_m = walked = None
+    if forest:
+        walked = parents, push_order, push_m = (
+            np.empty(n, dtype=i32), np.empty(n, dtype=i32),
+            np.empty(n, dtype=i64))
+    rows = np.empty((len(cp_arr), 7), dtype=i64)
+    info = np.zeros(9, dtype=i64)
+    rc = lib.explore(n, at(graph.indptr, i32), at(graph.nbrs, i32),
+                     len(graph.nbrs), at(cp_arr, i64), len(cp_arr),
+                     at(root, i32), at(start, i32), at(root_m, i64),
+                     at(parents, i32), at(push_order, i32), at(push_m, i64),
+                     at(rows, i64), at(info, i64))
+    m, max_u, max_u_m, taken, *context, lfp, ntree = info.tolist()
     if rc in _KERNEL_VIOLATIONS:
         message, keys = _KERNEL_VIOLATIONS[rc]
         raise InvariantViolation(message, dict(zip(keys, context)))
@@ -157,29 +176,35 @@ def _explore_native(lib, graph, cps):
                           "32-bit slots, or changed since Graph built it")
     if rc == _NO_MEMORY:
         raise MemoryError(f"explore kernel at n = {n}")
-    return rows[:taken], parents, push_order, push_m, m, max_u, max_u_m, lfp
+    trees = root[:ntree], start[:ntree], root_m[:ntree]
+    return rows[:taken], trees, walked, m, max_u, max_u_m, lfp
 
 
-def _explore_python(graph, cps):
+def _explore_python(graph, cps, forest):
     """`explore` of _kernel.c in Python, frame for frame, in label order.
 
-    Returns (samples, parents, push_order, push_m, m, max_U,
-    max_U_argmax_m, longest_forest_path), with a sample row for every
-    checkpoint passed inside a jump; a checkpoint at the final clock is
-    left to the caller.
+    Returns (samples, trees, forest, m, max_U, max_U_argmax_m,
+    longest_forest_path), with a sample row for every checkpoint passed
+    inside a jump (a checkpoint at the final clock is left to the caller),
+    trees the records (root label, pushes before the root, clock at its
+    push) of the DFS trees as three arrays, and forest (parents, push
+    order, push moments) when `forest` is true, else None.
     """
     n = graph.n
     tindex = TIndex(n)
     present = tindex.present     # 1 while the label is in T
     indptr = graph.indptr.tolist()
     nbrs = graph.nbrs.tolist()
-    parents = [-1] * n
-    push_order = []
-    push_m = [-1] * n
+    tree_root, tree_start, tree_m = [], [], []
+    if forest:
+        parents = [-1] * n
+        push_order = []
+        push_m = [-1] * n
     # A frame [v, f, cur, end, d1, d2]: vertex v, its frontier label f, the
     # unread part [cur, end) of its row, and the two deepest paths down into
     # its completed children, in edges.
     stack = []
+    npush = 0
     size_t = n
     size_s = 0
     m = 0
@@ -200,6 +225,9 @@ def _explore_python(graph, cps):
                 min_ptr += 1
             u = -1
             w = min_ptr
+            tree_root.append(w)
+            tree_start.append(npush)
+            tree_m.append(m)
         else:
             fr = stack[-1]
             u, f, cur, end = fr[0], fr[1], fr[2], fr[3]
@@ -261,13 +289,22 @@ def _explore_python(graph, cps):
         tindex.delete(w)
         size_t -= 1
         stack.append([w, -1, indptr[w], indptr[w + 1], 0, 0])
-        parents[w] = u
-        push_m[w] = m
-        push_order.append(w)
+        if forest:
+            parents[w] = u
+            push_m[w] = m
+            push_order.append(w)
+        npush += 1
         if len(stack) > max_u:
             max_u = len(stack)
             max_u_m = m
 
-    return (trajectory_array(samples), np.array(parents, dtype=np.int32),
-            np.array(push_order, dtype=np.int32),
-            np.array(push_m, dtype=np.int64), m, max_u, max_u_m, best)
+    trees = (np.array(tree_root, dtype=np.int32),
+             np.array(tree_start, dtype=np.int32),
+             np.array(tree_m, dtype=np.int64))
+    walked = None
+    if forest:
+        walked = (np.array(parents, dtype=np.int32),
+                  np.array(push_order, dtype=np.int32),
+                  np.array(push_m, dtype=np.int64))
+    return (trajectory_array(samples), trees, walked, m, max_u, max_u_m,
+            best)

@@ -194,7 +194,7 @@ def _check_cases(cases, out_dir):
     for checked, (label, graph, stride) in enumerate(cases, 1):
         cps = checkpoint_schedule(graph.n, None, stride)
         ref = run_reference(graph.n, graph, cps, record_events=False)
-        fast = run_fast(graph, cps)
+        fast = run_fast(graph, cps, forest=True)
         lines = compare_runs(ref, fast)
         if not lines:
             continue

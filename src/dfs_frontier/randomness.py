@@ -241,7 +241,10 @@ class Graph:
         else:
             indptr = np.empty(n + 1, dtype=np.int32)
             nbrs = np.empty(2 * len(eu), dtype=np.int32)
-            fault = lib.csr_build(n, eu, ev, len(eu), indptr, nbrs)
+            at = _native.address
+            fault = lib.csr_build(n, at(eu, np.int32), at(ev, np.int32),
+                                  len(eu), at(indptr, np.int32),
+                                  at(nbrs, np.int32))
             if fault:
                 raise ValueError("vertex id out of range" if fault == 1
                                  else _ORDER_FAULT)
@@ -367,11 +370,14 @@ def _gap_edges(n, p, seed):
     pos = np.array([-1, 0, 0], dtype=np.int64)
     mean = total * p
     cap = min(total, int(mean + 6.0 * math.sqrt(mean)) + 16)
+    at = _native.address
     us, vs = [], []
     while pos[0] < total:
         eu = np.empty(cap, dtype=np.int32)
         ev = np.empty(cap, dtype=np.int32)
-        got = lib.gap_draw(state, math.log1p(-p), n, pos, eu, ev, cap)
+        got = lib.gap_draw(at(state, np.uint64), math.log1p(-p), n,
+                           at(pos, np.int64), at(eu, np.int32),
+                           at(ev, np.int32), cap)
         us.append(eu[:got])
         vs.append(ev[:got])
     if len(us) == 1:
@@ -392,27 +398,35 @@ def write_graph_file(graph, path):
 
 
 def read_graph_file(path):
-    """Read the canonical text format; rejects malformed headers, sizes
-    past the 2**31 cap, bad ids (range-checked as int64, before the cast to
-    int32), unsorted or duplicate edges."""
+    """Read the canonical text format; rejects malformed headers and lines,
+    sizes past the 2**31 cap, bad ids (range-checked as int64, before the
+    cast to int32), unsorted or duplicate edges, each with a ValueError
+    that names the file."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        n, m = int(header[0]), int(header[1])
+        try:
+            n, m = map(int, header)
+        except ValueError:
+            raise ValueError(f"{path}: malformed header {header!r}") from None
+        if not 0 <= n < LABEL_LIMIT:
+            raise ValueError(f"{path}: vertex count {n} outside [0, 2**31)")
         if not 0 <= 2 * m < LABEL_LIMIT:
             raise ValueError(f"{path}: edge count {m} outside [0, 2**30)")
         eu = np.empty(m, dtype=np.int64)
         ev = np.empty(m, dtype=np.int64)
         for i in range(m):
             parts = f.readline().split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: malformed edge line {i + 2}")
             try:
-                eu[i], ev[i] = int(parts[0]), int(parts[1])
+                eu[i], ev[i] = map(int, parts)
+            except ValueError:
+                raise ValueError(f"{path}: malformed edge line {i + 2}: "
+                                 f"{parts!r}") from None
             except OverflowError:
                 raise ValueError(f"{path}: vertex id past int64 on line "
                                  f"{i + 2}") from None
         if f.readline().strip():
             raise ValueError(f"{path}: trailing content after {m} edges")
-    return Graph.from_edge_arrays(n, eu, ev)
+    try:
+        return Graph.from_edge_arrays(n, eu, ev)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -51,8 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagnostics import (RunResult, assemble_run_report, engine_checkpoints,
-                          forest_diameter_from_parents, trajectory_array)
+from .diagnostics import (RunResult, assemble_run_report, component_census,
+                          engine_checkpoints, forest_diameter_from_parents,
+                          forest_trees, trajectory_array)
 from .errors import ConfigError, InvariantViolation
 from .randomness import Graph
 
@@ -248,7 +249,8 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
         "reference", n=n, epsilon=epsilon, p=p, seed=seed, samples=samples,
         max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
         longest_forest_path=forest_diameter_from_parents(parents, push_order),
-        parents=parents, push_order=push_order, push_m=push_m,
+        census=component_census(n, *forest_trees(parents, push_order,
+                                                 push_m)),
         edge_count=None if graph is None else graph.m)
     return RunResult(report, samples, parents, push_order, push_m,
                      event_log=events, realized_graph=realized)

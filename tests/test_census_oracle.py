@@ -1,6 +1,9 @@
-"""The forest-derived component census against scipy's, on every small
-graph and on the random-trial graphs, through both engines, and on one graph
-per acceptance-campaign cell through the fast engine."""
+"""The component census the engines read off their DFS trees against
+scipy's, on every small graph and on the random-trial graphs, through both
+engines, and on one graph per acceptance-campaign cell through the fast
+engine. The fast engine runs as `run` calls it, with no forest; the giant's
+entry moment is checked against the reference engine's push moments, and
+at campaign scale against those of a second run that keeps its forest."""
 
 import pytest
 from census_oracle import report_census, scipy_census
@@ -15,9 +18,9 @@ from dfs_frontier.reference_engine import run_reference
 
 
 def assert_census_matches(graph):
-    for res in (run_reference(graph.n, graph, [0], record_events=False),
-                run_fast(graph, [0])):
-        want, _giant = scipy_census(graph, res.push_m)
+    ref = run_reference(graph.n, graph, [0], record_events=False)
+    want, _giant = scipy_census(graph, ref.push_m)
+    for res in (ref, run_fast(graph, [0])):
         assert report_census(res.report) == want, graph.edges()
 
 
@@ -42,7 +45,10 @@ def test_campaign_cell_graphs(eps, n):
     # n = 8*10^5 or 10^6 vertices, as `run` draws and walks it.
     p = (1 + eps) / n
     graph = materialize_graph(n, p, BASE_SEED)
-    res = run_fast(graph, checkpoint_schedule(n, eps), epsilon=eps, p=p,
-                   seed=BASE_SEED)
-    want, _giant = scipy_census(graph, res.push_m)
+    cps = checkpoint_schedule(n, eps)
+    res = run_fast(graph, cps, epsilon=eps, p=p, seed=BASE_SEED)
+    walked = run_fast(graph, cps, epsilon=eps, p=p, seed=BASE_SEED,
+                      forest=True)
+    want, _giant = scipy_census(graph, walked.push_m)
     assert report_census(res.report) == want
+    assert res.report == walked.report

@@ -18,7 +18,8 @@ from dfs_frontier.diagnostics import (METRIC_FIELDS, Moments, RunReport,
                                       default_checkpoints,
                                       engine_checkpoints,
                                       forest_diameter_from_parents,
-                                      reference_moments, trajectory_array,
+                                      forest_trees, reference_moments,
+                                      trajectory_array,
                                       write_aggregate_csv,
                                       write_seed_table_csv,
                                       write_trajectory_csv)
@@ -29,8 +30,9 @@ from dfs_frontier.reference_engine import run_reference
 
 
 def census_of(graph):
-    res = run_fast(graph, [0])
-    return component_census(res.parents, res.push_order)
+    res = run_fast(graph, [0], forest=True)
+    return component_census(graph.n, *forest_trees(
+        res.parents, res.push_order, res.push_m))
 
 
 def make_report(seed=1, **overrides):
@@ -167,7 +169,7 @@ class TestComponentCensus:
         # is wide enough for n = 2e5 fluctuations.
         n, eps = 200_000, 0.1
         g = materialize_graph(n, (1 + eps) / n, 424242)
-        res = run_fast(g, [0])
+        res = run_fast(g, [0], forest=True)
         ratio = res.report.giant_size / (2 * eps * n)
         assert 0.8 <= ratio <= 1.1, ratio
         assert res.report.second_size < 1000
@@ -297,7 +299,7 @@ class TestLongestForestPath:
         for trial in range(20):
             n = rng.randint(1, 40)
             res = run_fast(materialize_graph(n, rng.uniform(0.5, 3) / n,
-                                             trial), [0])
+                                             trial), [0], forest=True)
             edges = [(res.parents[v], v) for v in range(n)
                      if res.parents[v] >= 0]
             want = naive_tree_diameter(n, edges)

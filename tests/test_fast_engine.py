@@ -104,7 +104,7 @@ class TestCheckpointSchedule:
 class TestSmallTraces:
     def test_triangle(self):
         g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        res = run_fast(g, checkpoints=range(4))
+        res = run_fast(g, checkpoints=range(4), forest=True)
         assert res.report.dfs_query_total == 2
         assert res.report.max_U == 3
         assert pair_count(3) - res.report.dfs_query_total == 1
@@ -201,7 +201,7 @@ class TestAgainstReference:
     def assert_equivalent(self, graph):
         cps = checkpoint_schedule(graph.n, None, 1)
         ref = run_reference(graph.n, graph, cps, record_events=False)
-        fast = run_fast(graph, cps)
+        fast = run_fast(graph, cps, forest=True)
         mismatches = compare_runs(ref, fast)
         assert not mismatches, mismatches
 

@@ -12,17 +12,22 @@ import sysconfig
 import numpy as np
 import pytest
 
+from census_oracle import report_census, scipy_census
 from dfs_frontier import _native, cli
-from dfs_frontier.diagnostics import forest_diameter_from_parents
+from dfs_frontier.diagnostics import (checkpoint_schedule, component_census,
+                                      forest_diameter_from_parents,
+                                      forest_trees)
 from dfs_frontier.errors import ConfigError
-from dfs_frontier.diagnostics import checkpoint_schedule
-from dfs_frontier.fast_engine import run_fast
+from dfs_frontier.fast_engine import (_explore_native, _explore_python,
+                                      run_fast)
 from dfs_frontier.oracle import (RANDOM_DENSITY_LADDER, RANDOM_SIZES,
-                                 enumeration_cases, trial_cases)
+                                 compare_runs, enumeration_cases,
+                                 trial_cases)
 from dfs_frontier.randomness import (BitStream, Graph, Xoshiro256StarStar,
                                      _gap_edges, materialize_graph,
                                      pair_count, read_graph_file,
                                      write_graph_file)
+from dfs_frontier.reference_engine import run_reference
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
@@ -35,15 +40,16 @@ def lib():
     return lib
 
 
-# Labels are int32 and clocks int64, on both paths.
+# Labels and push counts are int32 and clocks int64, on both paths.
 FOREST_DTYPES = {"parents": np.int32, "push_order": np.int32,
                  "push_m": np.int64}
+TREE_DTYPES = (np.int32, np.int32, np.int64)   # root, start, root's clock
 
 
 def assert_same_run(graph, python_loops):
     cps = checkpoint_schedule(graph.n, None, 1)
-    native = run_fast(graph, cps)
-    python = python_loops(run_fast, graph, cps)
+    native = run_fast(graph, cps, forest=True)
+    python = python_loops(run_fast, graph, cps, forest=True)
     for name, dtype in FOREST_DTYPES.items():
         a, b = getattr(native, name), getattr(python, name)
         assert a.dtype == b.dtype == dtype, name
@@ -64,6 +70,38 @@ def test_explore_random_trial_graphs(lib, python_loops):
     trials = 2 * len(RANDOM_SIZES) * len(RANDOM_DENSITY_LADDER)
     for _label, graph, _stride in trial_cases(trials):
         assert_same_run(graph, python_loops)
+
+
+def native_loop(fn, *args, **kwargs):
+    return fn(*args, **kwargs)
+
+
+def test_tree_records_every_small_and_trial_graph(lib, python_loops):
+    # `run` asks for no forest, and its census comes from the walk's tree
+    # records alone. On both loops, with the forest on and off: the same
+    # records, which are the trees of the reference engine's forest, and
+    # the same report and samples, whose census scipy's confirms.
+    for _label, graph, stride in [*enumeration_cases(), *trial_cases(200)]:
+        cps = checkpoint_schedule(graph.n, None, stride)
+        ref = run_reference(graph.n, graph, cps, record_events=False)
+        want = forest_trees(ref.parents, ref.push_order, ref.push_m)
+        census, _giant = scipy_census(graph, ref.push_m)
+        for forest in (False, True):
+            for trees in (_explore_native(lib, graph, cps, forest)[1],
+                          _explore_python(graph, cps, forest)[1]):
+                for got, expect, dtype in zip(trees, want, TREE_DTYPES):
+                    assert got.dtype == dtype
+                    assert np.array_equal(got, expect), graph.edges()
+                assert (component_census(graph.n, *trees)
+                        == component_census(graph.n, *want))
+        for loop in (native_loop, python_loops):
+            bare = loop(run_fast, graph, cps)
+            full = loop(run_fast, graph, cps, forest=True)
+            assert bare.parents is bare.push_order is bare.push_m is None
+            assert compare_runs(ref, full) == [], graph.edges()
+            assert bare.report == full.report, graph.edges()
+            assert np.array_equal(bare.samples, full.samples)
+            assert report_census(bare.report) == census, graph.edges()
 
 
 def test_explore_checkpoints_past_the_pair_space(lib, python_loops):
@@ -89,8 +127,8 @@ def test_explore_one_directional_rows(lib, python_loops):
         graph.indptr = np.cumsum([0] + [len(r) for r in rows],
                                  dtype=np.int32)
         graph.nbrs = np.array([x for r in rows for x in r], dtype=np.int32)
-        native = run_fast(graph, [0])
-        python = python_loops(run_fast, graph, [0])
+        native = run_fast(graph, [0], forest=True)
+        python = python_loops(run_fast, graph, [0], forest=True)
         for name in ("parents", "push_order", "push_m"):
             assert np.array_equal(getattr(native, name),
                                   getattr(python, name)), (name, rows)
@@ -103,6 +141,19 @@ def test_explore_rejects_csr_changed_after_checks(lib):
     graph = Graph.from_edges(3, [(0, 1)])
     graph.nbrs[0] = 5
     with pytest.raises(ConfigError, match="rejects the CSR"):
+        run_fast(graph, [0])
+
+
+@pytest.mark.parametrize("relayout", [lambda a: a.astype(np.int64),
+                                      lambda a: np.repeat(a, 2)[::2]])
+def test_explore_refuses_nbrs_of_another_layout(lib, monkeypatch, relayout):
+    # The kernel takes bare addresses: an int64 copy or a strided view
+    # written over a Graph's CSR is refused before the call.
+    graph = materialize_graph(50, 0.1, 1)
+    graph.nbrs = relayout(graph.nbrs)
+    monkeypatch.setattr(lib, "explore",
+                        lambda *args: pytest.fail("reached the kernel"))
+    with pytest.raises(TypeError, match="C-contiguous int32"):
         run_fast(graph, [0])
 
 
@@ -179,11 +230,13 @@ def test_csr_build_checks_every_endpoint_before_writing(lib):
     for ends, fault in faults:
         indptr = np.zeros(4, dtype=np.int32)
         nbrs = np.full(6, -7, dtype=np.int32)
-        assert lib.csr_build(3, ends[0], ends[1], 3, indptr, nbrs) == fault
+        ptrs = [_native.address(a, np.int32)
+                for a in (ends[0], ends[1], indptr, nbrs)]
+        assert lib.csr_build(3, *ptrs[:2], 3, *ptrs[2:]) == fault
         assert (nbrs == -7).all()
     # Past the 32-bit cap, refused before any array is read.
-    assert lib.csr_build(3, ends[0], ends[1], 2**30, indptr, nbrs) == 1
-    assert lib.csr_build(2**31, ends[0], ends[1], 3, indptr, nbrs) == 1
+    assert lib.csr_build(3, *ptrs[:2], 2**30, *ptrs[2:]) == 1
+    assert lib.csr_build(2**31, *ptrs[:2], 3, *ptrs[2:]) == 1
 
 
 def test_edge_order_fault_same_on_both_paths(lib, python_loops):
@@ -247,7 +300,10 @@ def test_gap_draw_resumes_across_full_buffers(lib, python_loops):
     while pos[0] < total:
         eu = np.empty(7, dtype=np.int32)
         ev = np.empty(7, dtype=np.int32)
-        got = lib.gap_draw(state, math.log1p(-p), n, pos, eu, ev, 7)
+        got = lib.gap_draw(_native.address(state, np.uint64),
+                           math.log1p(-p), n, _native.address(pos, np.int64),
+                           _native.address(eu, np.int32),
+                           _native.address(ev, np.int32), 7)
         us.append(eu[:got])
         vs.append(ev[:got])
         if got:
@@ -266,8 +322,8 @@ def test_forest_diameter_matches_python_loop(lib, python_loops):
         for trial in range(4 if n > 300 else 10):
             p = min(rng.uniform(0.5, 3) / n, 1.0)
             graph = materialize_graph(n, p, trial)
-            for res in (run_fast(graph, [0]),
-                        python_loops(run_fast, graph, [0])):
+            for res in (run_fast(graph, [0], forest=True),
+                        python_loops(run_fast, graph, [0], forest=True)):
                 assert (res.report.longest_forest_path
                         == forest_diameter_from_parents(
                             res.parents.tolist(), res.push_order.tolist())

@@ -141,7 +141,7 @@ class TestEquivalenceSweep:
         from dfs_frontier.fast_engine import run_fast
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
         ref = run_reference(4, g, [0, 1, 2], record_events=False)
-        fast = run_fast(g, [0, 1, 2])
+        fast = run_fast(g, [0, 1, 2], forest=True)
         assert compare_runs(ref, fast) == []
 
     def test_compare_runs_names_every_report_field(self):
@@ -150,7 +150,7 @@ class TestEquivalenceSweep:
         from dfs_frontier.fast_engine import run_fast
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
         ref = run_reference(4, g, [0, 1, 2], record_events=False)
-        fast = run_fast(g, [0, 1, 2])
+        fast = run_fast(g, [0, 1, 2], forest=True)
         for field in fields(fast.report):
             name = field.name
             broken = replace(fast, report=replace(fast.report, **{name: -7}))
@@ -165,7 +165,7 @@ class TestEquivalenceSweep:
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
         cps = range(5)
         ref = run_reference(4, g, cps, record_events=False)
-        fast = run_fast(g, cps)
+        fast = run_fast(g, cps, forest=True)
         rows = fast.samples.copy()
         rows[2, 6] += 1                      # q_UT at m = 2
         want = (f"sample at m=2: reference={ref.samples[2].tolist()} "

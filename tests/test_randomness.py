@@ -1,6 +1,7 @@
 """Randomness module tests: frozen generator vectors, stream coupling,
 graph materialization, and the canonical graph file format."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -425,5 +426,15 @@ class TestGraphFile:
         for name, text in cases.items():
             path = tmp_path / name
             path.write_text(text)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(str(path))):
                 read_graph_file(str(path))
+
+    @pytest.mark.parametrize("text", ["x 1\n0 1\n", "3 1\n0 1.5\n",
+                                      "-1 0\n"])
+    def test_errors_name_the_file(self, tmp_path, text):
+        # A header that is not an integer, an edge line that is not, and a
+        # negative vertex count.
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_graph_file(str(path))
