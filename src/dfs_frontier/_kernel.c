@@ -14,7 +14,7 @@
  * exactly as in Python.
  *
  * Vertex labels, CSR offsets and the walk's labels and push counts (tree
- * records, parents, push order) are int32_t; clocks, pair ranks and
+ * starts, parents, push order) are int32_t; clocks, pair ranks and
  * trajectory rows are int64_t. So n and the CSR's entry count are below
  * 2^31: the Python callers reject larger graphs before they allocate, and
  * csr_build and explore check again.
@@ -209,12 +209,12 @@ typedef struct {
  *
  * Each DFS tree is one connected component, so the walk's output for the
  * census is one record per tree, written in order at its root's push: the
- * root's label (tree_root), the number of pushes before it (tree_start) and
- * the clock (tree_m). Each of the three holds n entries; info[8] receives
- * the number of trees. The forest itself is optional: when parents,
- * push_order and push_m are given (all three or none), a vertex's parent
- * (int32, -1 for a root) and push moment (int64) are written under its
- * label when it is pushed, and the label itself to push_order.
+ * number of pushes before the root (tree_start) and the clock (tree_m).
+ * Each of the two holds n entries; info[8] receives the number of trees.
+ * The forest itself is optional: when parents, push_order and push_m are
+ * given (all three or none), a vertex's parent (int32, -1 for a root) and
+ * push moment (int64) are written under its label when it is pushed, and
+ * the label itself to push_order.
  *
  * cps holds the ncp sorted checkpoints that are <= C(n, 2); every one met
  * inside a jump is written to samples as a row (m, |S|, |U|, |T|, q_ST, q_SU,
@@ -223,16 +223,17 @@ typedef struct {
  * and in info[7] the forest's longest path in edges: a vertex's subtree is
  * final when it is popped, so the pop closes its two deepest child paths
  * and hands the deeper one, one edge longer, to its parent. Returns an
- * EXPLORE_* code; BAD_ADJACENCY means the CSR arrays are malformed (or too
- * large for 32-bit slots) and nothing is valid. These checks keep arrays
- * overwritten since csr_build made them from reaching memory. */
+ * EXPLORE_* code; BAD_ADJACENCY means the graph is too large for 32-bit
+ * slots and nothing is valid. The CSR is read unchecked, so it must be well
+ * formed: indptr[0] == 0, indptr non-decreasing up to indptr[n] == nnz, and
+ * every label in [0, n); fast_engine.run_fast refuses any other. */
 int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
-            int64_t nnz, const int64_t *cps, int64_t ncp, int32_t *tree_root,
+            int64_t nnz, const int64_t *cps, int64_t ncp,
             int32_t *tree_start, int64_t *tree_m, int32_t *parents,
             int32_t *push_order, int64_t *push_m, int64_t *samples,
             int64_t *info)
 {
-    if (n < 1 || n >= INT32_MAX - AHEAD || nnz >= INT32_MAX || indptr[0] < 0)
+    if (n < 1 || n >= INT32_MAX - AHEAD || nnz >= INT32_MAX)
         return BAD_ADJACENCY;
     /* All scratch lives in one block, so that the allocator can reuse it
      * whole from one run to the next instead of handing fresh pages (a
@@ -258,25 +259,15 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
     /* Components by union-find in comp (row's storage, unused until the
      * rows are built), each root linked under the smaller one, so
      * comp[v] <= v throughout and one ascending pass resolves every root.
-     * The pass also checks the CSR arrays before anything relies on them.
      * This pass and the next ones read and write out of order; they
      * prefetch AHEAD entries in advance. */
     int32_t *comp = row;
     for (int32_t v = 0; v < n; v++)
         comp[v] = v;
     for (int32_t v = 0; v < n; v++) {
-        if (indptr[v] > indptr[v + 1] || indptr[v + 1] > nnz) {
-            rc = BAD_ADJACENCY;
-            goto done;
-        }
         for (int64_t j = indptr[v]; j < indptr[v + 1]; j++) {
-            if (j + AHEAD < nnz && nbrs[j + AHEAD] >= 0
-                && nbrs[j + AHEAD] < n)
+            if (j + AHEAD < nnz)
                 PREFETCH(&comp[nbrs[j + AHEAD]]);
-            if (nbrs[j] < 0 || nbrs[j] >= n) {
-                rc = BAD_ADJACENCY;
-                goto done;
-            }
             if (nbrs[j] >= v)
                 continue;
             int32_t a = uf_find(comp, nbrs[j]), b = uf_find(comp, v);
@@ -336,7 +327,7 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
         if (up <= t.nw)
             t.tree[up] += t.tree[j];
     }
-    int64_t top = 0, npush = 0, ntree = 0, size_t_ = n, size_s = 0, m = 0;
+    int64_t top = 0, ntree = 0, size_t_ = n, size_s = 0, m = 0;
     int64_t max_u = 0, max_u_m = 0, min_word = 0, cp_i = 0;
     int64_t best = 0;    /* longest path among the completed subtrees */
 
@@ -351,8 +342,7 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
             u = -1;
             w = (int32_t)(64 * min_word + popcount64((word & -word) - 1));
             ws = slot[w];
-            tree_root[ntree] = w;
-            tree_start[ntree] = (int32_t)npush;
+            tree_start[ntree] = (int32_t)(n - size_t_);   /* pushes so far */
             tree_m[ntree++] = m;
         } else {
             frame *fr = &stack[top - 1];
@@ -442,6 +432,11 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
             fr->cur = cur + 1;
         }
         /* Push w (a new root when u is -1). */
+        if (parents) {
+            parents[w] = u;
+            push_m[w] = m;
+            push_order[n - size_t_] = w;
+        }
         t_delete(&t, w);
         size_t_--;
         frame *nf = &stack[top++];
@@ -451,12 +446,6 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
         nf->end = row[ws + 1];
         nf->d1 = 0;
         nf->d2 = 0;
-        if (parents) {
-            parents[w] = u;
-            push_m[w] = m;
-            push_order[npush] = w;
-        }
-        npush++;
         if (top > max_u) {
             max_u = top;
             max_u_m = m;

@@ -123,6 +123,6 @@ def _declare(lib):
     lib.csr_build.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
     lib.csr_build.restype = ctypes.c_int
     lib.explore.argtypes = [i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr,
-                            ptr, ptr, ptr, ptr]
+                            ptr, ptr, ptr]
     lib.explore.restype = ctypes.c_int
     return lib

@@ -118,15 +118,14 @@ def engine_checkpoints(n, epsilon, checkpoints):
 class ComponentCensus:
     giant_size: int
     second_size: int
-    giant_root: int        # smallest label of the selected largest component
     n_components: int
-    giant_entry_m: int     # clock at the push of giant_root
+    giant_entry_m: int     # clock at the push of the giant's root
 
 
-def component_census(n, roots, starts, root_m):
+def component_census(n, starts, root_m):
     """Connected components of an n-vertex graph from the records of its
-    complete DFS forest's trees, in push order: each tree's root label, the
-    number of pushes before the root and the clock at the root's push.
+    complete DFS forest's trees, in push order: for each tree, the number
+    of pushes before its root and the clock at the root's push.
 
     Each DFS tree spans exactly one component, and its root is the
     component's smallest label: every smaller label is already completed
@@ -147,19 +146,17 @@ def component_census(n, roots, starts, root_m):
     sizes[g] = 0
     return ComponentCensus(giant_size=giant_size,
                            second_size=int(sizes.max()),
-                           giant_root=int(roots[g]),
                            n_components=len(sizes),
                            giant_entry_m=int(root_m[g]))
 
 
 def forest_trees(parents, push_order, push_m):
-    """The tree records component_census reads, (roots, starts, root_m),
-    taken from a complete DFS forest: a tree starts wherever the push order
+    """The tree records component_census reads, (starts, root_m), taken
+    from a complete DFS forest: a tree starts wherever the push order
     reaches a root (parents[v] < 0)."""
     order = np.asarray(push_order)
     starts = np.flatnonzero(np.asarray(parents)[order] < 0)
-    roots = order[starts]
-    return roots, starts, np.asarray(push_m)[roots]
+    return starts, np.asarray(push_m)[order[starts]]
 
 
 def forest_diameter_from_parents(parents, order):

@@ -29,7 +29,7 @@ is final when it is popped, so the pop closes the two deepest paths down
 into its children and offers the deeper one, one edge longer, to its
 parent. And it yields the component census: the stack empties exactly when
 a component is done, so each DFS tree is one component, and each root push
-writes the tree's record (root label, pushes before it, clock), which
+writes the tree's record (pushes before the root, clock), which
 diagnostics.component_census reduces. The reference engine computes both
 from its finished forest instead (forest_diameter_from_parents,
 forest_trees), so the oracle checks one against the other. The per-vertex
@@ -42,11 +42,12 @@ the walk stays in cache. `_explore_python` is the same loop in Python,
 frame for frame (one stack frame per U-member, one push site for roots and
 children alike), on the graph in label order. It runs instead only when
 the kernel does not load (no C compiler), never for a particular graph.
-Both read the graph's int32 CSR, return the samples as one int64 row per
-checkpoint, in TRAJECTORY_COLUMNS order, the tree records and the forest
-with labels and push counts in int32 (below n < 2**31) and clocks in
-int64, and raise the same InvariantViolation on the same input; the tests
-compare them on every small graph.
+Both read the graph's int32 CSR, which run_fast checks for both of them
+first, return the samples as one int64 row per checkpoint, in
+TRAJECTORY_COLUMNS order, the tree records and the forest with labels and
+push counts in int32 (below n < 2**31) and clocks in int64, and raise the
+same InvariantViolation on the same input; the tests compare them on every
+small graph.
 """
 
 from __future__ import annotations
@@ -108,13 +109,25 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
     samples match run_reference on the same graph moment for moment. The
     report's component fields come from the walk's tree records; the
     forest (parents, push order, push moments) is built only when `forest`
-    is true, and is None otherwise. A row out of ascending order, which
-    only arrays overwritten after Graph built them can hold, raises
-    InvariantViolation.
+    is true, and is None otherwise. A CSR changed after Graph built it is
+    refused with ConfigError, before either loop reads it, unless its
+    offsets rise from 0 to len(nbrs) and its labels lie in [0, n); a row
+    out of ascending order then raises InvariantViolation when the walk
+    reads a misplaced entry that is still in T.
     """
     n = graph.n
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    indptr, nbrs = graph.indptr, graph.nbrs
+    # Offsets compared a block at a time: an n-entry mask would stay resident.
+    lo, hi, step = indptr[:-1], indptr[1:], 1 << 16
+    if not (indptr.shape == (n + 1,) and nbrs.ndim == 1 and indptr[0] == 0
+            and indptr[n] == len(nbrs)
+            and all((lo[i:i + step] <= hi[i:i + step]).all()
+                    for i in range(0, n, step))
+            and nbrs.min(initial=0) >= 0 and nbrs.max(initial=0) < n):
+        raise ConfigError(f"run_fast rejects the CSR at n = {n}: offsets "
+                          "or labels changed since Graph built it")
     cps = engine_checkpoints(n, epsilon, checkpoints)
 
     from . import _native
@@ -153,8 +166,7 @@ def _explore_native(lib, graph, cps, forest):
     n = graph.n
     i32, i64 = np.int32, np.int64
     cp_arr = np.array(cps, dtype=i64)
-    root, start, root_m = (np.empty(n, dtype=i32), np.empty(n, dtype=i32),
-                           np.empty(n, dtype=i64))
+    start, root_m = np.empty(n, dtype=i32), np.empty(n, dtype=i64)
     parents = push_order = push_m = walked = None
     if forest:
         walked = parents, push_order, push_m = (
@@ -164,7 +176,7 @@ def _explore_native(lib, graph, cps, forest):
     info = np.zeros(9, dtype=i64)
     rc = lib.explore(n, at(graph.indptr, i32), at(graph.nbrs, i32),
                      len(graph.nbrs), at(cp_arr, i64), len(cp_arr),
-                     at(root, i32), at(start, i32), at(root_m, i64),
+                     at(start, i32), at(root_m, i64),
                      at(parents, i32), at(push_order, i32), at(push_m, i64),
                      at(rows, i64), at(info, i64))
     m, max_u, max_u_m, taken, *context, lfp, ntree = info.tolist()
@@ -173,10 +185,10 @@ def _explore_native(lib, graph, cps, forest):
         raise InvariantViolation(message, dict(zip(keys, context)))
     if rc == _BAD_ADJACENCY:
         raise ConfigError(f"explore kernel rejects the CSR at n = {n}: past "
-                          "32-bit slots, or changed since Graph built it")
+                          "32-bit slots")
     if rc == _NO_MEMORY:
         raise MemoryError(f"explore kernel at n = {n}")
-    trees = root[:ntree], start[:ntree], root_m[:ntree]
+    trees = start[:ntree], root_m[:ntree]
     return rows[:taken], trees, walked, m, max_u, max_u_m, lfp
 
 
@@ -186,16 +198,16 @@ def _explore_python(graph, cps, forest):
     Returns (samples, trees, forest, m, max_U, max_U_argmax_m,
     longest_forest_path), with a sample row for every checkpoint passed
     inside a jump (a checkpoint at the final clock is left to the caller),
-    trees the records (root label, pushes before the root, clock at its
-    push) of the DFS trees as three arrays, and forest (parents, push
-    order, push moments) when `forest` is true, else None.
+    trees the records (pushes before the root, clock at its push) of the
+    DFS trees as two arrays, and forest (parents, push order, push
+    moments) when `forest` is true, else None.
     """
     n = graph.n
     tindex = TIndex(n)
     present = tindex.present     # 1 while the label is in T
     indptr = graph.indptr.tolist()
     nbrs = graph.nbrs.tolist()
-    tree_root, tree_start, tree_m = [], [], []
+    tree_start, tree_m = [], []
     if forest:
         parents = [-1] * n
         push_order = []
@@ -204,7 +216,6 @@ def _explore_python(graph, cps, forest):
     # unread part [cur, end) of its row, and the two deepest paths down into
     # its completed children, in edges.
     stack = []
-    npush = 0
     size_t = n
     size_s = 0
     m = 0
@@ -225,8 +236,7 @@ def _explore_python(graph, cps, forest):
                 min_ptr += 1
             u = -1
             w = min_ptr
-            tree_root.append(w)
-            tree_start.append(npush)
+            tree_start.append(n - size_t)     # pushes so far
             tree_m.append(m)
         else:
             fr = stack[-1]
@@ -293,13 +303,11 @@ def _explore_python(graph, cps, forest):
             parents[w] = u
             push_m[w] = m
             push_order.append(w)
-        npush += 1
         if len(stack) > max_u:
             max_u = len(stack)
             max_u_m = m
 
-    trees = (np.array(tree_root, dtype=np.int32),
-             np.array(tree_start, dtype=np.int32),
+    trees = (np.array(tree_start, dtype=np.int32),
              np.array(tree_m, dtype=np.int64))
     walked = None
     if forest:

@@ -129,8 +129,13 @@ def compare_runs(ref_result, fast_result):
     """Field-by-field comparison of two engine results on one graph.
 
     Returns a list of human-readable mismatch lines, empty when equivalent;
-    of the trajectories, only the first differing row is named.
+    of the trajectories, only the first differing row is named. Both
+    results must hold their forests: ConfigError for a fast result run
+    without `forest=True`.
     """
+    if ref_result.parents is None or fast_result.parents is None:
+        raise ConfigError("compare_runs compares forests: run the fast "
+                          "engine as run_fast(..., forest=True)")
     lines = []
     for field in fields(RunReport):
         if field.name == "config":

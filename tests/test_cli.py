@@ -530,7 +530,7 @@ print((peak_kib() - before) / 1024)
                     reason="needs VmHWM from /proc/self/status")
 def test_run_n1e6_memory_budget():
     # int32 labels: the CSR and the edges at half the int64 width, and no
-    # per-vertex forest: the walk writes one record per tree. About 30 MiB;
+    # per-vertex forest: the walk writes two numbers per tree. 28-30 MiB;
     # 40 MiB with the forest, 55 MiB with int64 labels as well.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     done = subprocess.run([sys.executable, "-c", MEMORY_PROBE],

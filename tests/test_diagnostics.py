@@ -30,9 +30,10 @@ from dfs_frontier.reference_engine import run_reference
 
 
 def census_of(graph):
+    """The census of graph's DFS forest, and the forest's push moments."""
     res = run_fast(graph, [0], forest=True)
     return component_census(graph.n, *forest_trees(
-        res.parents, res.push_order, res.push_m))
+        res.parents, res.push_order, res.push_m)), res.push_m
 
 
 def make_report(seed=1, **overrides):
@@ -136,29 +137,32 @@ class TestReferenceMoments:
 
 class TestComponentCensus:
     def test_isolated_vertices(self):
-        census = census_of(Graph.from_edges(5, []))
+        census, push_m = census_of(Graph.from_edges(5, []))
         assert census.giant_size == 1
         assert census.second_size == 1
         assert census.n_components == 5
-        assert census.giant_root == 0   # five-way tie
+        assert census.giant_entry_m == push_m[0]   # five-way tie
 
     def test_triangle_plus_edge(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-        census = census_of(g)
+        census, push_m = census_of(g)
         assert census.giant_size == 3
         assert census.second_size == 2
         assert census.n_components == 2
-        assert census.giant_root == 0
+        assert census.giant_entry_m == push_m[0]
 
     def test_tie_breaks_to_smallest_label(self):
-        g = Graph.from_edges(4, [(1, 3), (0, 2)])
-        assert census_of(g).giant_root == 0
-        g = Graph.from_edges(5, [(0, 1), (2, 4), (3, 4)])
-        assert census_of(g).giant_root == 2   # size 3 beats size 2
+        # Roots are pushed at distinct clocks, so the giant's entry clock
+        # names its root.
+        census, push_m = census_of(Graph.from_edges(4, [(1, 3), (0, 2)]))
+        assert census.giant_entry_m == push_m[0] < push_m[1]
+        census, push_m = census_of(Graph.from_edges(5, [(0, 1), (2, 4),
+                                                        (3, 4)]))
+        assert census.giant_entry_m == push_m[2] > push_m[0]   # 3 beats 2
 
     def test_single_component(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        census = census_of(g)
+        census, _push_m = census_of(g)
         assert census.giant_size == 4
         assert census.second_size == 0
         assert census.n_components == 1

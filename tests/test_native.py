@@ -43,7 +43,7 @@ def lib():
 # Labels and push counts are int32 and clocks int64, on both paths.
 FOREST_DTYPES = {"parents": np.int32, "push_order": np.int32,
                  "push_m": np.int64}
-TREE_DTYPES = (np.int32, np.int32, np.int64)   # root, start, root's clock
+TREE_DTYPES = (np.int32, np.int64)   # tree start, clock at its root
 
 
 def assert_same_run(graph, python_loops):
@@ -135,13 +135,34 @@ def test_explore_one_directional_rows(lib, python_loops):
         assert native.report == python.report, rows
 
 
-def test_explore_rejects_csr_changed_after_checks(lib):
-    # Graph built its CSR; a label written into it later is caught by the
-    # kernel's own range check and raised, not run again on Python.
-    graph = Graph.from_edges(3, [(0, 1)])
-    graph.nbrs[0] = 5
-    with pytest.raises(ConfigError, match="rejects the CSR"):
-        run_fast(graph, [0])
+def test_explore_rejects_csr_changed_after_checks(lib, monkeypatch,
+                                                  python_loops):
+    # Graph built each CSR; arrays written over it later are refused by
+    # run_fast's one check, the same way on both loops, before either
+    # reads them: the kernel would read past a short indptr, and the
+    # Python loop would index present[-1] from the end.
+    def path(name, index, value):
+        graph = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        getattr(graph, name)[index] = value    # indptr [0, 1, 3, 5, 6]
+        return graph
+
+    cut, late = (materialize_graph(100_000, 1.1e-5, 7) for _ in range(2))
+    cut.indptr = cut.indptr[:3]
+    late.indptr[70_000] = late.indptr[69_999] - 1   # past the first block
+    cases = {"label -1": path("nbrs", 0, -1), "label n": path("nbrs", 5, 4),
+             "indptr cut to 3 entries": cut,
+             "indptr decreasing": path("indptr", 3, 2),
+             "indptr decreasing at row 69,999": late,
+             "indptr[n] < len(nbrs)": path("indptr", 4, 5),
+             "indptr[n] > len(nbrs)": path("indptr", 4, 7),
+             "indptr[0] > 0": path("indptr", 0, 1)}
+    monkeypatch.setattr(lib, "explore",
+                        lambda *args: pytest.fail("reached the kernel"))
+    for graph in cases.values():
+        for loop in (native_loop, python_loops):
+            with pytest.raises(ConfigError, match=r"^run_fast rejects the "
+                               rf"CSR at n = {graph.n}: "):
+                loop(run_fast, graph, [0])
 
 
 @pytest.mark.parametrize("relayout", [lambda a: a.astype(np.int64),

@@ -4,6 +4,7 @@ engine sweep, fault injection, and event-log ledger replay."""
 import itertools
 import os
 import random
+import re
 
 import pytest
 
@@ -78,7 +79,7 @@ class TestExactLongestPath:
             exact_longest_path(g)
 
 
-class TestSmallGraphEnumeration:
+class TestEnumerationCases:
     """enumeration_cases: every labelled graph on up to 5 vertices."""
 
     def graphs_by_n(self):
@@ -143,6 +144,18 @@ class TestEquivalenceSweep:
         ref = run_reference(4, g, [0, 1, 2], record_events=False)
         fast = run_fast(g, [0, 1, 2], forest=True)
         assert compare_runs(ref, fast) == []
+
+    def test_compare_runs_needs_the_fast_forest(self):
+        # Without its forest a fast result cannot be compared; refused by
+        # name, not reported as three mismatches that dump the reference's.
+        from dfs_frontier.fast_engine import run_fast
+        g = Graph.from_edges(4, [(0, 1), (1, 2)])
+        ref = run_reference(4, g, [0, 1, 2], record_events=False)
+        bare = run_fast(g, [0, 1, 2])
+        for pair in ((ref, bare), (bare, ref)):
+            with pytest.raises(ConfigError,
+                               match=re.escape("run_fast(..., forest=True)")):
+                compare_runs(*pair)
 
     def test_compare_runs_names_every_report_field(self):
         # Each report field but config is compared, one line per field.
