@@ -224,9 +224,8 @@ typedef struct {
  * final when it is popped, so the pop closes its two deepest child paths
  * and hands the deeper one, one edge longer, to its parent. Returns an
  * EXPLORE_* code; BAD_ADJACENCY means the graph is too large for 32-bit
- * slots and nothing is valid. The CSR is read unchecked, so it must be well
- * formed: indptr[0] == 0, indptr non-decreasing up to indptr[n] == nnz, and
- * every label in [0, n); fast_engine.run_fast refuses any other. */
+ * slots and nothing is valid. The CSR is read unchecked: it is a
+ * randomness.Graph's, built from checked edges and read-only since. */
 int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
             int64_t nnz, const int64_t *cps, int64_t ncp,
             int32_t *tree_start, int64_t *tree_m, int32_t *parents,

@@ -42,11 +42,11 @@ the walk stays in cache. `_explore_python` is the same loop in Python,
 frame for frame (one stack frame per U-member, one push site for roots and
 children alike), on the graph in label order. It runs instead only when
 the kernel does not load (no C compiler), never for a particular graph.
-Both read the graph's int32 CSR, which run_fast checks for both of them
-first, return the samples as one int64 row per checkpoint, in
-TRAJECTORY_COLUMNS order, the tree records and the forest with labels and
-push counts in int32 (below n < 2**31) and clocks in int64, and raise the
-same InvariantViolation on the same input; the tests compare them on every
+Both read the graph's int32 CSR, read-only since Graph built it, return
+the samples as one int64 row per checkpoint, in TRAJECTORY_COLUMNS order,
+the tree records and the forest with labels and push counts in int32
+(below n < 2**31) and clocks in int64, and raise the same
+InvariantViolation on the same input; the tests compare them on every
 small graph.
 """
 
@@ -109,25 +109,11 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
     samples match run_reference on the same graph moment for moment. The
     report's component fields come from the walk's tree records; the
     forest (parents, push order, push moments) is built only when `forest`
-    is true, and is None otherwise. A CSR changed after Graph built it is
-    refused with ConfigError, before either loop reads it, unless its
-    offsets rise from 0 to len(nbrs) and its labels lie in [0, n); a row
-    out of ascending order then raises InvariantViolation when the walk
-    reads a misplaced entry that is still in T.
+    is true, and is None otherwise.
     """
     n = graph.n
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    indptr, nbrs = graph.indptr, graph.nbrs
-    # Offsets compared a block at a time: an n-entry mask would stay resident.
-    lo, hi, step = indptr[:-1], indptr[1:], 1 << 16
-    if not (indptr.shape == (n + 1,) and nbrs.ndim == 1 and indptr[0] == 0
-            and indptr[n] == len(nbrs)
-            and all((lo[i:i + step] <= hi[i:i + step]).all()
-                    for i in range(0, n, step))
-            and nbrs.min(initial=0) >= 0 and nbrs.max(initial=0) < n):
-        raise ConfigError(f"run_fast rejects the CSR at n = {n}: offsets "
-                          "or labels changed since Graph built it")
     cps = engine_checkpoints(n, epsilon, checkpoints)
 
     from . import _native

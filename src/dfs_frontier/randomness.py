@@ -43,10 +43,10 @@ CSR entries (2m): `materialize_graph` and `Graph` reject a larger one
 before they allocate, and check labels in the dtype they arrive in, so that
 a cast to int32 never wraps.
 
-The floor of a libm quotient is stable for a given libm; a 1-ulp difference
-in log1p across platforms could in principle move one gap boundary with
-probability on the order of 1e-16 per draw. The frozen stream tests pin the
-behaviour of the build they run on.
+The floor of a libm quotient is stable for a given libm. Across platforms
+log1p may differ in its last bit, which moves a quotient q by about
+q * 2**-53, so a gap of length q changes with probability about q * 2**-53.
+The frozen stream tests pin the behaviour of the build they run on.
 """
 
 from __future__ import annotations
@@ -213,11 +213,15 @@ class Graph:
     unique (`from_edge_arrays` is the same call; `from_edges`,
     `materialize_graph` and `read_graph_file` build through it), so the
     CSR is always the one `csr_build` or `_csr_numpy` made from checked
-    edges, contiguous int32, and m is the edge count. n >= 2**31 or 2**30
+    edges, contiguous int32, and m is the edge count. A Graph is read-only
+    once built: writing into indptr or nbrs raises ValueError, and
+    assigning an attribute raises AttributeError. n >= 2**31 or 2**30
     edges and more raise ConfigError before anything is allocated; an
     endpoint outside [0, n), checked in the arrays' own dtype before the
     cast to int32, a bad shape or an edge out of order raises ValueError.
     """
+
+    __slots__ = ("n", "m", "indptr", "nbrs")
 
     def __init__(self, n, eu, ev):
         if not 0 <= n < LABEL_LIMIT:
@@ -248,10 +252,12 @@ class Graph:
             if fault:
                 raise ValueError("vertex id out of range" if fault == 1
                                  else _ORDER_FAULT)
-        self.n = n
-        self.m = len(eu)
-        self.indptr = indptr
-        self.nbrs = nbrs
+        indptr.flags.writeable = nbrs.flags.writeable = False
+        for name, value in zip(self.__slots__, (n, len(eu), indptr, nbrs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Graph is read-only: cannot set {name!r}")
 
     @classmethod
     def from_edge_arrays(cls, n, eu, ev):

@@ -5,15 +5,18 @@ reference engine, and the runtime scaling bound."""
 import random
 import statistics
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfs_frontier import _native
 from dfs_frontier.diagnostics import MAX_CHECKPOINTS, checkpoint_schedule
 from dfs_frontier.errors import ConfigError, InvariantViolation
-from dfs_frontier.fast_engine import TIndex, run_fast
+from dfs_frontier.fast_engine import (TIndex, _explore_native,
+                                      _explore_python, run_fast)
 from dfs_frontier.oracle import compare_runs
 from dfs_frontier.randomness import Graph, materialize_graph, pair_count
 from dfs_frontier.reference_engine import run_reference
@@ -150,16 +153,34 @@ class TestSmallTraces:
         assert res.report.max_U == 6
 
     @pytest.mark.parametrize("native", [True, False])
-    def test_unsorted_adjacency_raises(self, python_loops, native):
-        # Row 0 overwritten to [2, 1] after Graph built it: without the guard
-        # the run silently returns the wrong forest [-1, 0, 0]. Both loops
-        # stop at the same query: 0 meets 1 after its frontier moved to 2.
-        g = Graph.from_edges(3, [(0, 1), (0, 2)])
-        g.nbrs[:2] = [2, 1]
+    def test_unsorted_adjacency_raises(self, native):
+        # A CSR no Graph builds: the star's row 0 as [2, 1]. Without the
+        # walk's guard the loops would return the wrong forest [-1, 0, 0];
+        # both stop at the same query: 0 meets 1 after its frontier moved
+        # to 2.
+        csr = SimpleNamespace(n=3, indptr=np.array([0, 2, 3, 4], np.int32),
+                              nbrs=np.array([2, 1, 0, 0], np.int32))
+        lib = _native.kernel()
+        if native and lib is None:
+            pytest.skip("native kernel unavailable (no C compiler)")
         with pytest.raises(InvariantViolation,
                            match="^T-neighbor at or below frontier$") as exc:
-            run_fast(g) if native else python_loops(run_fast, g)
+            if native:
+                _explore_native(lib, csr, [0], False)
+            else:
+                _explore_python(csr, [0], False)
         assert exc.value.context == {"vertex": 0, "frontier": 2, "target": 1}
+
+    def test_empty_jump_raises(self, monkeypatch):
+        # A T index that counts no label makes a jump toward a T-neighbor
+        # consume no query. No CSR can: a T-neighbor past the frontier is
+        # one more label counted. The kernel's twin guard has no such seam.
+        monkeypatch.setattr(TIndex, "count_leq", lambda self, label: 0)
+        g = Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(InvariantViolation,
+                           match="^positive jump consumed no query$") as exc:
+            _explore_python(g, [0], False)
+        assert exc.value.context == {"vertex": 0, "target": 1}
 
     def test_samples_are_int64_rows(self, python_loops):
         # Both loops and the reference engine hand back one C-contiguous

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from dfs_frontier import _native, cli
 from dfs_frontier.diagnostics import (checkpoint_schedule, component_census,
                                       forest_diameter_from_parents,
                                       forest_trees)
-from dfs_frontier.errors import ConfigError
 from dfs_frontier.fast_engine import (_explore_native, _explore_python,
                                       run_fast)
 from dfs_frontier.oracle import (RANDOM_DENSITY_LADDER, RANDOM_SIZES,
@@ -113,69 +113,40 @@ def test_explore_checkpoints_past_the_pair_space(lib, python_loops):
                           python_loops(run_fast, graph, cps).samples)
 
 
-def test_explore_one_directional_rows(lib, python_loops):
-    # Rows written over a Graph's CSR need not mirror each other. The
+def test_explore_one_directional_rows(lib):
+    # CSRs no Graph builds: rows that need not mirror each other. The
     # kernel's slot layout then groups the vertices more coarsely than the
-    # walk meets them, which changes nothing: both paths pick roots and
+    # walk meets them, which changes nothing: both loops pick roots and
     # neighbors by label.
     rng = np.random.default_rng(11)
     for _ in range(60):
         n = int(rng.integers(2, 40))
         rows = [sorted(set(rng.integers(0, n, rng.integers(0, 4)).tolist())
                        - {v}) for v in range(n)]
-        graph = Graph(n, [], [])
-        graph.indptr = np.cumsum([0] + [len(r) for r in rows],
-                                 dtype=np.int32)
-        graph.nbrs = np.array([x for r in rows for x in r], dtype=np.int32)
-        native = run_fast(graph, [0], forest=True)
-        python = python_loops(run_fast, graph, [0], forest=True)
-        for name in ("parents", "push_order", "push_m"):
-            assert np.array_equal(getattr(native, name),
-                                  getattr(python, name)), (name, rows)
-        assert native.report == python.report, rows
-
-
-def test_explore_rejects_csr_changed_after_checks(lib, monkeypatch,
-                                                  python_loops):
-    # Graph built each CSR; arrays written over it later are refused by
-    # run_fast's one check, the same way on both loops, before either
-    # reads them: the kernel would read past a short indptr, and the
-    # Python loop would index present[-1] from the end.
-    def path(name, index, value):
-        graph = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        getattr(graph, name)[index] = value    # indptr [0, 1, 3, 5, 6]
-        return graph
-
-    cut, late = (materialize_graph(100_000, 1.1e-5, 7) for _ in range(2))
-    cut.indptr = cut.indptr[:3]
-    late.indptr[70_000] = late.indptr[69_999] - 1   # past the first block
-    cases = {"label -1": path("nbrs", 0, -1), "label n": path("nbrs", 5, 4),
-             "indptr cut to 3 entries": cut,
-             "indptr decreasing": path("indptr", 3, 2),
-             "indptr decreasing at row 69,999": late,
-             "indptr[n] < len(nbrs)": path("indptr", 4, 5),
-             "indptr[n] > len(nbrs)": path("indptr", 4, 7),
-             "indptr[0] > 0": path("indptr", 0, 1)}
-    monkeypatch.setattr(lib, "explore",
-                        lambda *args: pytest.fail("reached the kernel"))
-    for graph in cases.values():
-        for loop in (native_loop, python_loops):
-            with pytest.raises(ConfigError, match=r"^run_fast rejects the "
-                               rf"CSR at n = {graph.n}: "):
-                loop(run_fast, graph, [0])
+        csr = SimpleNamespace(
+            n=n, indptr=np.cumsum([0] + [len(r) for r in rows],
+                                  dtype=np.int32),
+            nbrs=np.array([x for r in rows for x in r], dtype=np.int32))
+        native = _explore_native(lib, csr, [0], True)
+        python = _explore_python(csr, [0], True)
+        samples, trees, walked, *counts = native
+        assert np.array_equal(samples, python[0]), rows
+        for a, b in zip((*trees, *walked), (*python[1], *python[2])):
+            assert a.dtype == b.dtype and np.array_equal(a, b), rows
+        assert counts == list(python[3:]), rows
 
 
 @pytest.mark.parametrize("relayout", [lambda a: a.astype(np.int64),
-                                      lambda a: np.repeat(a, 2)[::2]])
-def test_explore_refuses_nbrs_of_another_layout(lib, monkeypatch, relayout):
-    # The kernel takes bare addresses: an int64 copy or a strided view
-    # written over a Graph's CSR is refused before the call.
-    graph = materialize_graph(50, 0.1, 1)
-    graph.nbrs = relayout(graph.nbrs)
-    monkeypatch.setattr(lib, "explore",
-                        lambda *args: pytest.fail("reached the kernel"))
+                                      lambda a: np.repeat(a, 2)[::2],
+                                      lambda a: a.tolist()])
+def test_address_refuses_arrays_of_another_layout(relayout):
+    # The kernels take bare addresses: `address` gives one only for the
+    # layout they read, and NULL for None.
+    nbrs = materialize_graph(50, 0.1, 1).nbrs
+    assert _native.address(nbrs, np.int32) == nbrs.ctypes.data
+    assert _native.address(None, np.int32) is None
     with pytest.raises(TypeError, match="C-contiguous int32"):
-        run_fast(graph, [0])
+        _native.address(relayout(nbrs), np.int32)
 
 
 def edge_arrays(graph):

@@ -258,6 +258,33 @@ class TestGraph:
         assert eu.dtype == ev.dtype == np.int32
         assert list(zip(eu.tolist(), ev.tolist())) == [(0, 3), (1, 2)]
 
+    @pytest.mark.parametrize("builder", ["Graph", "Graph, Python loops",
+                                         "from_edges", "materialize_graph",
+                                         "read_graph_file"])
+    def test_read_only(self, builder, python_loops, tmp_path):
+        # Each builder's triangle keeps the CSR it was built with: row 0
+        # cannot become [2, 1], which the walk would follow to the wrong
+        # forest [-1, 2, 0], and no attribute can be rebound.
+        triangle = [(0, 1), (0, 2), (1, 2)]
+        path = str(tmp_path / "triangle.txt")
+        write_graph_file(Graph.from_edges(3, triangle), path)
+        g = {"Graph": lambda: Graph(3, [0, 0, 1], [1, 2, 2]),
+             "Graph, Python loops": lambda: python_loops(
+                 Graph, 3, [0, 0, 1], [1, 2, 2]),
+             "from_edges": lambda: Graph.from_edges(3, triangle),
+             "materialize_graph": lambda: materialize_graph(3, 1.0, 1),
+             "read_graph_file": lambda: read_graph_file(path)}[builder]()
+        for name, index, value in [("nbrs", slice(0, 2), [2, 1]),
+                                   ("nbrs", 5, 3), ("indptr", 1, 3),
+                                   ("indptr", 0, 1)]:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(g, name)[index] = value
+        for name in ("n", "m", "indptr", "nbrs"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(g, name, getattr(g, name))
+        assert g.edges() == triangle and (g.n, g.m) == (3, 3)
+        assert g.indptr.tolist() == [0, 2, 4, 6]
+
     def test_equality(self):
         a = Graph.from_edges(3, [(0, 1)])
         b = Graph.from_edges(3, [(1, 0)])
