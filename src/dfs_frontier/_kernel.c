@@ -17,7 +17,7 @@
  * starts, parents, push order) are int32_t; clocks, pair ranks and
  * trajectory rows are int64_t. So n and the CSR's entry count are below
  * 2^31: the Python callers reject larger graphs before they allocate, and
- * csr_build and explore check again.
+ * csr_build checks again; explore reads its CSR unchecked (see there).
  */
 #include <math.h>
 #include <stdint.h>
@@ -133,8 +133,7 @@ int csr_build(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
     return 0;
 }
 
-enum { EXPLORE_OK, BELOW_FRONTIER, EMPTY_JUMP, NEGATIVE_QSU, BAD_ADJACENCY,
-       NO_MEMORY };
+enum { EXPLORE_OK, BELOW_FRONTIER, EMPTY_JUMP, NEGATIVE_QSU, NO_MEMORY };
 
 static int popcount64(uint64_t x)
 {
@@ -159,15 +158,15 @@ static int t_has(const tset *t, int64_t label)
     return (int)((t->bits[label >> 6] >> (label & 63)) & 1);
 }
 
-/* Number of T-labels <= label. */
+/* Number of T-labels <= label, for label in [-1, n): those below
+ * end = label + 1, whose word is read only when end lies inside it. */
 static int64_t t_count_leq(const tset *t, int64_t label)
 {
-    int64_t word = label >> 6, s = 0;
+    int64_t end = label + 1, word = end >> 6, s = 0;
     for (int64_t i = word; i > 0; i -= i & -i)
         s += t->tree[i];
-    unsigned b = (unsigned)(label & 63);
-    uint64_t mask = b == 63 ? ~UINT64_C(0) : (UINT64_C(1) << (b + 1)) - 1;
-    return s + popcount64(t->bits[word] & mask);
+    unsigned b = (unsigned)(end & 63);
+    return b ? s + popcount64(t->bits[word] & ((UINT64_C(1) << b) - 1)) : s;
 }
 
 static void t_delete(tset *t, int64_t label)
@@ -223,17 +222,17 @@ typedef struct {
  * and in info[7] the forest's longest path in edges: a vertex's subtree is
  * final when it is popped, so the pop closes its two deepest child paths
  * and hands the deeper one, one edge longer, to its parent. Returns an
- * EXPLORE_* code; BAD_ADJACENCY means the graph is too large for 32-bit
- * slots and nothing is valid. The CSR is read unchecked: it is a
- * randomness.Graph's, built from checked edges and read-only since. */
+ * EXPLORE_* code. The CSR is read unchecked: it is a randomness.Graph's,
+ * built from checked edges and read-only since. So 1 <= n < 2^31 (run_fast
+ * rejects n < 1) and nnz = indptr[n] < 2^31 - 1 (Graph's cap): no int32
+ * label, slot or offset overflows, nor do the prefetch guards, which
+ * compare with n - AHEAD and nnz - AHEAD. */
 int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
-            int64_t nnz, const int64_t *cps, int64_t ncp,
-            int32_t *tree_start, int64_t *tree_m, int32_t *parents,
-            int32_t *push_order, int64_t *push_m, int64_t *samples,
-            int64_t *info)
+            const int64_t *cps, int64_t ncp, int32_t *tree_start,
+            int64_t *tree_m, int32_t *parents, int32_t *push_order,
+            int64_t *push_m, int64_t *samples, int64_t *info)
 {
-    if (n < 1 || n >= INT32_MAX - AHEAD || nnz >= INT32_MAX)
-        return BAD_ADJACENCY;
+    int64_t nnz = indptr[n];
     /* All scratch lives in one block, so that the allocator can reuse it
      * whole from one run to the next instead of handing fresh pages (a
      * fault per 4 KiB) to some of the runs. */
@@ -265,7 +264,7 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
         comp[v] = v;
     for (int32_t v = 0; v < n; v++) {
         for (int64_t j = indptr[v]; j < indptr[v + 1]; j++) {
-            if (j + AHEAD < nnz)
+            if (j < nnz - AHEAD)
                 PREFETCH(&comp[nbrs[j + AHEAD]]);
             if (nbrs[j] >= v)
                 continue;
@@ -280,7 +279,7 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
     for (int32_t v = 0; v < n; v++)
         slot[v] = 0;
     for (int32_t v = 0; v < n; v++) {
-        if (v + AHEAD < n)
+        if (v < n - AHEAD)
             PREFETCH(&comp[comp[v + AHEAD]]);
         comp[v] = comp[comp[v]];
         slot[comp[v]]++;
@@ -292,23 +291,23 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
             next += size;
         }
     for (int32_t v = 0; v < n; v++) {
-        if (v + AHEAD < n)
+        if (v < n - AHEAD)
             PREFETCH(&lab[slot[comp[v + AHEAD]]]);
         lab[slot[comp[v]]++] = v;
     }
     for (int32_t s = 0; s < n; s++) {
-        if (s + AHEAD < n)
+        if (s < n - AHEAD)
             PREFETCH(&slot[lab[s + AHEAD]]);
         slot[lab[s]] = s;
     }
     row[0] = 0;
     for (int32_t s = 0; s < n; s++) {
         /* Three stages: the row bounds, the row, the slots it names. */
-        if (s + AHEAD < n)
+        if (s < n - AHEAD)
             PREFETCH(&indptr[lab[s + AHEAD]]);
-        if (s + AHEAD / 2 < n)
+        if (s < n - AHEAD / 2)
             PREFETCH(&nbrs[indptr[lab[s + AHEAD / 2]]]);
-        if (s + AHEAD / 4 < n && indptr[lab[s + AHEAD / 4]] < indptr[n])
+        if (s < n - AHEAD / 4 && indptr[lab[s + AHEAD / 4]] < nnz)
             PREFETCH(&slot[nbrs[indptr[lab[s + AHEAD / 4]]]]);
         int32_t o = row[s];
         for (int64_t j = indptr[lab[s]]; j < indptr[lab[s] + 1]; j++)
@@ -359,7 +358,7 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
                 cur++;
             }
             fr->cur = cur;
-            int64_t base = f < 0 ? 0 : t_count_leq(&t, f);
+            int64_t base = t_count_leq(&t, f);
             int64_t k;
             if (w >= 0) {
                 if (w <= f) {
@@ -379,8 +378,7 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
                      * once, for the jump that holds a checkpoint. */
                     int64_t fsum = 0;
                     for (int64_t j = 0; j < top; j++)
-                        if (stack[j].f >= 0)
-                            fsum += t_count_leq(&t, stack[j].f);
+                        fsum += t_count_leq(&t, stack[j].f);
                     while (cp_i < ncp && cps[cp_i] < m + k) {
                         int64_t c = cps[cp_i];
                         int64_t q_ut = fsum + (c - m);

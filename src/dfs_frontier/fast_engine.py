@@ -42,12 +42,13 @@ the walk stays in cache. `_explore_python` is the same loop in Python,
 frame for frame (one stack frame per U-member, one push site for roots and
 children alike), on the graph in label order. It runs instead only when
 the kernel does not load (no C compiler), never for a particular graph.
-Both read the graph's int32 CSR, read-only since Graph built it, return
-the samples as one int64 row per checkpoint, in TRAJECTORY_COLUMNS order,
-the tree records and the forest with labels and push counts in int32
-(below n < 2**31) and clocks in int64, and raise the same
-InvariantViolation on the same input; the tests compare them on every
-small graph.
+Both read the graph's int32 CSR unchecked, since a Graph is read-only
+once built with n < 2**31 and fewer than 2**31 entries. They return the
+samples as one int64 row per checkpoint, in TRAJECTORY_COLUMNS order, the
+tree records and the forest with labels and push counts in int32 and
+clocks in int64, and raise the same InvariantViolation on the same input,
+through one table (_VIOLATIONS); the tests compare them on every small
+graph.
 """
 
 from __future__ import annotations
@@ -134,15 +135,21 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
     return RunResult(report, samples, *(walked or (None, None, None)))
 
 
-# Kernel return codes of explore() in _kernel.c that are invariant
-# violations: message and the names of the three context values.
-_KERNEL_VIOLATIONS = {
-    1: ("T-neighbor at or below frontier", ("vertex", "frontier", "target")),
-    2: ("positive jump consumed no query", ("vertex", "target")),
-    3: ("negative q_SU at checkpoint", ("m", "q_ST", "q_UT")),
+# The walk's invariant violations, by their return codes of explore() in
+# _kernel.c: message and the names of the context values. Both loops raise
+# them through _violation.
+_BELOW_FRONTIER, _EMPTY_JUMP, _NEGATIVE_QSU, _NO_MEMORY = 1, 2, 3, 4
+_VIOLATIONS = {
+    _BELOW_FRONTIER: ("T-neighbor at or below frontier",
+                      ("vertex", "frontier", "target")),
+    _EMPTY_JUMP: ("positive jump consumed no query", ("vertex", "target")),
+    _NEGATIVE_QSU: ("negative q_SU at checkpoint", ("m", "q_ST", "q_UT")),
 }
-_BAD_ADJACENCY = 4
-_NO_MEMORY = 5
+
+
+def _violation(code, *context):
+    message, keys = _VIOLATIONS[code]
+    return InvariantViolation(message, dict(zip(keys, context)))
 
 
 def _explore_native(lib, graph, cps, forest):
@@ -161,17 +168,12 @@ def _explore_native(lib, graph, cps, forest):
     rows = np.empty((len(cp_arr), 7), dtype=i64)
     info = np.zeros(9, dtype=i64)
     rc = lib.explore(n, at(graph.indptr, i32), at(graph.nbrs, i32),
-                     len(graph.nbrs), at(cp_arr, i64), len(cp_arr),
-                     at(start, i32), at(root_m, i64),
-                     at(parents, i32), at(push_order, i32), at(push_m, i64),
-                     at(rows, i64), at(info, i64))
+                     at(cp_arr, i64), len(cp_arr), at(start, i32),
+                     at(root_m, i64), at(parents, i32), at(push_order, i32),
+                     at(push_m, i64), at(rows, i64), at(info, i64))
     m, max_u, max_u_m, taken, *context, lfp, ntree = info.tolist()
-    if rc in _KERNEL_VIOLATIONS:
-        message, keys = _KERNEL_VIOLATIONS[rc]
-        raise InvariantViolation(message, dict(zip(keys, context)))
-    if rc == _BAD_ADJACENCY:
-        raise ConfigError(f"explore kernel rejects the CSR at n = {n}: past "
-                          "32-bit slots")
+    if rc in _VIOLATIONS:
+        raise _violation(rc, *context)
     if rc == _NO_MEMORY:
         raise MemoryError(f"explore kernel at n = {n}")
     trees = start[:ntree], root_m[:ntree]
@@ -238,9 +240,7 @@ def _explore_python(graph, cps, forest):
             base = tindex.count_leq(f)
             if w >= 0:
                 if w <= f:
-                    raise InvariantViolation(
-                        "T-neighbor at or below frontier",
-                        {"vertex": u, "frontier": f, "target": w})
+                    raise _violation(_BELOW_FRONTIER, u, f, w)
                 k = tindex.count_leq(w) - base
             else:
                 k = size_t - base
@@ -255,16 +255,13 @@ def _explore_python(graph, cps, forest):
                         q_st = size_s * size_t
                         q_su = c - q_st - q_ut
                         if q_su < 0:
-                            raise InvariantViolation(
-                                "negative q_SU at checkpoint",
-                                {"m": c, "q_ST": q_st, "q_UT": q_ut})
+                            raise _violation(_NEGATIVE_QSU, c, q_st, q_ut)
                         samples.append((c, size_s, len(stack), size_t, q_st,
                                         q_su, q_ut))
                         cp_i += 1
                 m += k
             elif w >= 0:
-                raise InvariantViolation("positive jump consumed no query",
-                                         {"vertex": u, "target": w})
+                raise _violation(_EMPTY_JUMP, u, w)
             if w < 0:
                 if fr[4] + fr[5] > best:
                     best = fr[4] + fr[5]

@@ -214,8 +214,10 @@ class Graph:
     `materialize_graph` and `read_graph_file` build through it), so the
     CSR is always the one `csr_build` or `_csr_numpy` made from checked
     edges, contiguous int32, and m is the edge count. A Graph is read-only
-    once built: writing into indptr or nbrs raises ValueError, and
-    assigning an attribute raises AttributeError. n >= 2**31 or 2**30
+    once built: indptr and nbrs are views of read-only arrays, so a write
+    into them or setting their write flag raises ValueError (their owners
+    stay reachable as `.base`), and assigning an attribute raises
+    AttributeError. n >= 2**31 or 2**30
     edges and more raise ConfigError before anything is allocated; an
     endpoint outside [0, n), checked in the arrays' own dtype before the
     cast to int32, a bad shape or an edge out of order raises ValueError.
@@ -253,7 +255,8 @@ class Graph:
                 raise ValueError("vertex id out of range" if fault == 1
                                  else _ORDER_FAULT)
         indptr.flags.writeable = nbrs.flags.writeable = False
-        for name, value in zip(self.__slots__, (n, len(eu), indptr, nbrs)):
+        for name, value in zip(self.__slots__,
+                               (n, len(eu), indptr.view(), nbrs.view())):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -182,6 +182,19 @@ class TestSmallTraces:
             _explore_python(g, [0], False)
         assert exc.value.context == {"vertex": 0, "target": 1}
 
+    def test_negative_q_su_raises(self, monkeypatch):
+        # A T index that counts 5 labels at or below -1 puts 5 pairs in
+        # q_UT before any query is asked, so q_SU at the checkpoint m = 0 is
+        # -5. No CSR can: the frontier sum counts only queried pairs.
+        count_leq = TIndex.count_leq
+        monkeypatch.setattr(TIndex, "count_leq", lambda self, label: (
+            count_leq(self, label) + 5 * (label < 0)))
+        g = Graph.from_edges(10, [(0, 9)])
+        with pytest.raises(InvariantViolation,
+                           match="^negative q_SU at checkpoint$") as exc:
+            _explore_python(g, [0], False)
+        assert exc.value.context == {"m": 0, "q_ST": 0, "q_UT": 5}
+
     def test_samples_are_int64_rows(self, python_loops):
         # Both loops and the reference engine hand back one C-contiguous
         # int64 row per reached checkpoint, ascending in m, the final

@@ -5,6 +5,7 @@ diameter against the DP, and whole runs without a compiler."""
 
 import math
 import os
+import shlex
 import subprocess
 import sys
 import sysconfig
@@ -320,6 +321,56 @@ def test_forest_diameter_matches_python_loop(lib, python_loops):
                         == forest_diameter_from_parents(
                             res.parents.tolist(), res.push_order.tolist())
                         ), (n, p, trial)
+
+
+# The same corpus and one large run on a build of the kernel that aborts on
+# undefined behaviour. n = 300,000 takes the layout's prefetches and the
+# walk through graphs far past AHEAD entries.
+UBSAN_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+UBSAN_RUN = """
+import ctypes, sys
+from dfs_frontier import _native
+from dfs_frontier.fast_engine import run_fast
+from dfs_frontier.oracle import _check_cases, enumeration_cases, trial_cases
+from dfs_frontier.randomness import materialize_graph
+_native._lib = _native._declare(ctypes.CDLL(sys.argv[1]))
+swept = _check_cases([*enumeration_cases(), *trial_cases(200)], None)
+print(swept.graphs_checked, len(swept.mismatches))
+n, eps, seed = 300_000, 0.1, 7
+p = (1 + eps) / n
+print(run_fast(materialize_graph(n, p, seed), epsilon=eps, p=p,
+               seed=seed).report.to_json())
+"""
+
+
+def test_kernel_has_no_undefined_behaviour(lib, tmp_path):
+    # The kernel compiles without a warning; a compiler without the UBSan
+    # runtime skips the rest.
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    path = str(tmp_path / "kernel-ubsan.so")
+
+    def build(*flags):
+        return subprocess.run(
+            [*cc, *_native.CFLAGS, *flags, "-Wall", "-Wextra", "-Werror",
+             "-o", path, _native.SOURCE, "-lm"], capture_output=True,
+            text=True)
+
+    built = build(*UBSAN_FLAGS)
+    if built.returncode != 0:
+        plain = build()
+        assert plain.returncode == 0, plain.stderr
+        pytest.skip(f"no UBSan build: {built.stderr.strip()[-300:]}")
+    done = subprocess.run([sys.executable, "-c", UBSAN_RUN, path],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert done.returncode == 0, done.stderr[-2000:]
+    counts, report = done.stdout.split("\n", 1)
+    assert counts == "1299 0"
+    n, eps, seed = 300_000, 0.1, 7
+    p = (1 + eps) / n
+    want = run_fast(materialize_graph(n, p, seed), epsilon=eps, p=p,
+                    seed=seed).report.to_json()
+    assert report == want + "\n"
 
 
 def test_unwritable_cache_falls_back(monkeypatch, tmp_path, capsys):

@@ -264,7 +264,8 @@ class TestGraph:
     def test_read_only(self, builder, python_loops, tmp_path):
         # Each builder's triangle keeps the CSR it was built with: row 0
         # cannot become [2, 1], which the walk would follow to the wrong
-        # forest [-1, 2, 0], and no attribute can be rebound.
+        # forest [-1, 2, 0], neither array's write flag can be turned back
+        # on, and no attribute can be rebound.
         triangle = [(0, 1), (0, 2), (1, 2)]
         path = str(tmp_path / "triangle.txt")
         write_graph_file(Graph.from_edges(3, triangle), path)
@@ -279,11 +280,15 @@ class TestGraph:
                                    ("indptr", 0, 1)]:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(g, name)[index] = value
+        for name in ("indptr", "nbrs"):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                getattr(g, name).flags.writeable = True
         for name in ("n", "m", "indptr", "nbrs"):
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(g, name, getattr(g, name))
         assert g.edges() == triangle and (g.n, g.m) == (3, 3)
         assert g.indptr.tolist() == [0, 2, 4, 6]
+        assert g.nbrs.tolist() == [1, 2, 0, 2, 0, 1]
 
     def test_equality(self):
         a = Graph.from_edges(3, [(0, 1)])
