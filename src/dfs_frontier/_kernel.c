@@ -1,27 +1,27 @@
-/* Native kernels of dfs_frontier: the geometric gap draw, the CSR build of
- * a materialized graph, and the fast engine's exploration loop, which also
- * yields the DFS forest's diameter.
+/* Native kernels of dfs_frontier: the geometric gap draw and the fast
+ * engine's exploration loop, which also yields the DFS forest's diameter.
  *
  * Each function does the work of Python code that stays in the package as
  * the readable specification and as the fallback when no C compiler is
  * present: BitStream.skip_to_next_success with its row walk, as
- * randomness._gap_edges drives it, the stable sort in randomness._csr_numpy,
- * and fast_engine._explore_python, which keeps the same stack frames and
- * the same single push site, on the graph in label order.
+ * randomness._gap_edges drives it, and fast_engine._explore_python, which
+ * keeps the same stack frames and the same single push site, on the CSR
+ * randomness._csr_numpy builds in label order from the same edges.
  * The outputs are identical bit for bit. The gap draw relies on that: it
  * must be compiled without -ffast-math and without FP contraction (-std=c99
  * turns contraction off), so that u, log1p(-u) and the quotient round
  * exactly as in Python.
  *
- * Vertex labels, CSR offsets and the walk's labels and push counts (tree
- * starts, parents, push order) are int32_t; clocks, pair ranks and
- * trajectory rows are int64_t. So n and the CSR's entry count are below
+ * Vertex labels, adjacency offsets and the walk's labels and push counts
+ * (tree starts, parents, push order) are int32_t; clocks, pair ranks and
+ * trajectory rows are int64_t. So n and twice the edge count are below
  * 2^31: the Python callers reject larger graphs before they allocate, and
- * csr_build checks again; explore reads its CSR unchecked (see there).
+ * explore reads its edges unchecked (see there).
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* A hint to start loading p: gathers from arrays larger than the cache
  * issue their loads this far ahead of use. */
@@ -88,51 +88,6 @@ int64_t gap_draw(uint64_t *s, double log1mp, int64_t n, int64_t *pos,
     return k;
 }
 
-/* The CSR adjacency of the graph with the ne edges (eu[i], ev[i]): row x of
- * nbrs, [indptr[x], indptr[x + 1]), lists the eu[i] of the edges with
- * ev[i] == x, then the ev[i] of the edges with eu[i] == x, each in edge
- * order. For lex-sorted edges with u < v that is the row ascending, and no
- * sort is needed: the degrees give the row starts, and two passes over the
- * edges place the lower, then the upper neighbours. indptr holds n + 1
- * entries and nbrs 2 ne. Returns 0; 1 when an endpoint lies outside
- * [0, n) or the CSR is past the 32-bit cap (n or 2 ne above INT32_MAX);
- * 2 when an edge has u >= v or is not after the one before in lex order.
- * The counting pass checks each edge before its endpoints index, so on a
- * fault nothing is written to nbrs and indptr is left undefined. */
-int csr_build(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
-              int32_t *indptr, int32_t *nbrs)
-{
-    if (n > INT32_MAX || ne > INT32_MAX / 2)
-        return 1;
-    for (int64_t x = 0; x <= n; x++)
-        indptr[x] = 0;
-    for (int64_t i = 0; i < ne; i++) {
-        int32_t u = eu[i], v = ev[i];
-        if (u < 0 || u >= n || v < 0 || v >= n)
-            return 1;
-        if (u >= v || (i > 0 && (u < eu[i - 1]
-                                 || (u == eu[i - 1] && v <= ev[i - 1]))))
-            return 2;
-        indptr[u]++;
-        indptr[v]++;
-    }
-    for (int64_t x = 0, start = 0; x <= n; x++) {
-        int32_t deg = indptr[x];
-        indptr[x] = (int32_t)start;
-        start += deg;
-    }
-    /* indptr[x] is row x's cursor: its next free entry. */
-    for (int64_t i = 0; i < ne; i++)
-        nbrs[indptr[ev[i]]++] = eu[i];
-    for (int64_t i = 0; i < ne; i++)
-        nbrs[indptr[eu[i]]++] = ev[i];
-    /* Each cursor now stands at its row's end, the next row's start. */
-    for (int64_t x = n; x > 0; x--)
-        indptr[x] = indptr[x - 1];
-    indptr[0] = 0;
-    return 0;
-}
-
 enum { EXPLORE_OK, BELOW_FRONTIER, EMPTY_JUMP, NEGATIVE_QSU, NO_MEMORY };
 
 static int popcount64(uint64_t x)
@@ -195,16 +150,41 @@ typedef struct {
     int32_t v, cur, end, d1, d2;
 } frame;
 
-/* The fast engine's exploration loop (see fast_engine.py).
+/* One placing pass of explore's layout: edge by edge, in edge order, the
+ * slot of from[i] goes to the free entry of the row of to[i]'s slot, whose
+ * cursor in row then moves on. Slots, cursors and rows are all read out of
+ * order, so each edge's three loads are issued ahead in stages. */
+static void place(int64_t ne, const int32_t *from, const int32_t *to,
+                  const int32_t *slot, int32_t *row, int32_t *adj)
+{
+    for (int64_t i = 0; i < ne; i++) {
+        if (i < ne - AHEAD) {
+            PREFETCH(&slot[from[i + AHEAD]]);
+            PREFETCH(&slot[to[i + AHEAD]]);
+        }
+        if (i < ne - AHEAD / 2)
+            PREFETCH(&row[slot[to[i + AHEAD / 2]]]);
+        if (i < ne - AHEAD / 4)
+            PREFETCH(&adj[row[slot[to[i + AHEAD / 4]]]]);
+        adj[row[slot[to[i]]]++] = slot[from[i]];
+    }
+}
+
+/* The fast engine's exploration loop (see fast_engine.py) on the graph with
+ * the ne edges (eu[i], ev[i]).
  *
- * The loop runs on a copy of the graph laid out for the walk: every vertex
- * gets a slot, the slots of a connected component are contiguous, and
- * components follow each other in the order of their smallest labels, the
- * order the walk visits them in. Adjacency rows hold slots and labels are
- * looked up per slot, so the walk reads memory close to what it read last,
- * where in label order nearly every step was a cache miss.
- * The layout decides nothing: roots, scan order and counts all go by label,
- * so any slot assignment gives the same result.
+ * The loop runs on a layout of the graph built here for the walk: every
+ * vertex gets a slot, the slots of a connected component are contiguous,
+ * and components follow each other in the order of their smallest labels,
+ * the order the walk visits them in. Adjacency rows hold slots and labels
+ * are looked up per slot, so the walk reads memory close to what it read
+ * last, where in label order nearly every step was a cache miss. Row s
+ * lists the slots of the neighbours that randomness._csr_numpy's row of the
+ * vertex in slot s lists, in the same order: the eu[i] of the edges with
+ * ev[i] at that vertex, then the ev[i] of the edges with eu[i] at it, each
+ * in edge order, which for lex-sorted edges with u < v is ascending. The
+ * layout decides nothing: roots, scan order and counts all go by label, so
+ * any slot assignment gives the same result.
  *
  * Each DFS tree is one connected component, so the walk's output for the
  * census is one record per tree, written in order at its root's push: the
@@ -222,23 +202,23 @@ typedef struct {
  * and in info[7] the forest's longest path in edges: a vertex's subtree is
  * final when it is popped, so the pop closes its two deepest child paths
  * and hands the deeper one, one edge longer, to its parent. Returns an
- * EXPLORE_* code. The CSR is read unchecked: it is a randomness.Graph's,
- * built from checked edges and read-only since. So 1 <= n < 2^31 (run_fast
- * rejects n < 1) and nnz = indptr[n] < 2^31 - 1 (Graph's cap): no int32
- * label, slot or offset overflows, nor do the prefetch guards, which
- * compare with n - AHEAD and nnz - AHEAD. */
-int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
+ * EXPLORE_* code. The edges are read unchecked: they are a
+ * randomness.Graph's, checked when it was built and read-only since. So
+ * 1 <= n < 2^31 (run_fast rejects n < 1), every endpoint lies in [0, n) and
+ * ne < 2^30 (Graph's cap): no int32 label, slot or offset overflows, nor do
+ * the prefetch guards, which compare with n - AHEAD and ne - AHEAD. */
+int explore(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
             const int64_t *cps, int64_t ncp, int32_t *tree_start,
             int64_t *tree_m, int32_t *parents, int32_t *push_order,
             int64_t *push_m, int64_t *samples, int64_t *info)
 {
-    int64_t nnz = indptr[n];
     /* All scratch lives in one block, so that the allocator can reuse it
      * whole from one run to the next instead of handing fresh pages (a
      * fault per 4 KiB) to some of the runs. */
     size_t nn = (size_t)n, nw = (nn + 63) >> 6;
     char *block = malloc(nn * sizeof(frame) + nw * sizeof(uint64_t)
-                         + (nw + 2 * nn + (size_t)nnz + 2) * sizeof(int32_t));
+                         + (nw + 2 * nn + 2 * (size_t)ne + 2)
+                           * sizeof(int32_t));
     if (!block)
         return NO_MEMORY;
     frame *stack = (frame *)block;
@@ -254,26 +234,24 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
     int32_t *adj = row + nn + 1;
     int rc = EXPLORE_OK;
 
-    /* Components by union-find in comp (row's storage, unused until the
-     * rows are built), each root linked under the smaller one, so
-     * comp[v] <= v throughout and one ascending pass resolves every root.
-     * This pass and the next ones read and write out of order; they
+    /* Components by union-find over the edges in comp (row's storage,
+     * unused until the rows are built), each root linked under the smaller
+     * one, so comp[v] <= v throughout and one ascending pass resolves every
+     * root. This pass and the next ones read and write out of order; they
      * prefetch AHEAD entries in advance. */
     int32_t *comp = row;
     for (int32_t v = 0; v < n; v++)
         comp[v] = v;
-    for (int32_t v = 0; v < n; v++) {
-        for (int64_t j = indptr[v]; j < indptr[v + 1]; j++) {
-            if (j < nnz - AHEAD)
-                PREFETCH(&comp[nbrs[j + AHEAD]]);
-            if (nbrs[j] >= v)
-                continue;
-            int32_t a = uf_find(comp, nbrs[j]), b = uf_find(comp, v);
-            if (a < b)
-                comp[b] = a;
-            else if (b < a)
-                comp[a] = b;
+    for (int64_t i = 0; i < ne; i++) {
+        if (i < ne - AHEAD) {
+            PREFETCH(&comp[eu[i + AHEAD]]);
+            PREFETCH(&comp[ev[i + AHEAD]]);
         }
+        int32_t a = uf_find(comp, eu[i]), b = uf_find(comp, ev[i]);
+        if (a < b)
+            comp[b] = a;
+        else if (b < a)
+            comp[a] = b;
     }
     /* Block starts by ascending root; labels ascending within a block. */
     for (int32_t v = 0; v < n; v++)
@@ -300,20 +278,32 @@ int explore(int64_t n, const int32_t *indptr, const int32_t *nbrs,
             PREFETCH(&slot[lab[s + AHEAD]]);
         slot[lab[s]] = s;
     }
-    row[0] = 0;
-    for (int32_t s = 0; s < n; s++) {
-        /* Three stages: the row bounds, the row, the slots it names. */
-        if (s < n - AHEAD)
-            PREFETCH(&indptr[lab[s + AHEAD]]);
-        if (s < n - AHEAD / 2)
-            PREFETCH(&nbrs[indptr[lab[s + AHEAD / 2]]]);
-        if (s < n - AHEAD / 4 && indptr[lab[s + AHEAD / 4]] < nnz)
-            PREFETCH(&slot[nbrs[indptr[lab[s + AHEAD / 4]]]]);
-        int32_t o = row[s];
-        for (int64_t j = indptr[lab[s]]; j < indptr[lab[s] + 1]; j++)
-            adj[o++] = slot[nbrs[j]];
-        row[s + 1] = o;
+    /* The rows: degrees by slot, their running sums as each row's cursor,
+     * two placing passes, lower neighbours and then upper ones, after which
+     * each cursor stands at its row's end, the next row's start. */
+    for (int64_t s = 0; s <= n; s++)
+        row[s] = 0;
+    for (int64_t i = 0; i < ne; i++) {
+        if (i < ne - AHEAD) {
+            PREFETCH(&slot[eu[i + AHEAD]]);
+            PREFETCH(&slot[ev[i + AHEAD]]);
+        }
+        if (i < ne - AHEAD / 2) {
+            PREFETCH(&row[slot[eu[i + AHEAD / 2]]]);
+            PREFETCH(&row[slot[ev[i + AHEAD / 2]]]);
+        }
+        row[slot[eu[i]]]++;
+        row[slot[ev[i]]]++;
     }
+    for (int64_t s = 0, start = 0; s <= n; s++) {
+        int32_t deg = row[s];
+        row[s] = (int32_t)start;
+        start += deg;
+    }
+    place(ne, eu, ev, slot, row, adj);
+    place(ne, ev, eu, slot, row, adj);
+    memmove(row + 1, row, nn * sizeof(int32_t));
+    row[0] = 0;
 
     for (int64_t i = 0; i <= t.nw; i++)
         t.tree[i] = 0;

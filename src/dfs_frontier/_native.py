@@ -113,16 +113,14 @@ def address(array, dtype):
 
 
 def _declare(lib):
-    """Argument types of the three entry points. Arrays are passed as
-    addresses from `address`: labels and CSR offsets int32, clocks, ranks
-    and counts int64, the generator state uint64."""
+    """Argument types of the two entry points. Arrays are passed as
+    addresses from `address`: labels int32, clocks, ranks and counts
+    int64, the generator state uint64."""
     i64 = ctypes.c_int64
     ptr = ctypes.c_void_p
     lib.gap_draw.argtypes = [ptr, ctypes.c_double, i64, ptr, ptr, ptr, i64]
     lib.gap_draw.restype = i64
-    lib.csr_build.argtypes = [i64, ptr, ptr, i64, ptr, ptr]
-    lib.csr_build.restype = ctypes.c_int
-    lib.explore.argtypes = [i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr, ptr,
-                            ptr, ptr]
+    lib.explore.argtypes = [i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr,
+                            ptr, ptr, ptr]
     lib.explore.restype = ctypes.c_int
     return lib

@@ -37,18 +37,20 @@ forest (parents, push order, push moments) is written only on request, for
 the oracle and the tests; `run` asks for none.
 
 The loop runs in C (`explore` in _kernel.c, compiled on first use by
-_native) on a copy of the graph laid out component by component, so that
-the walk stays in cache. `_explore_python` is the same loop in Python,
-frame for frame (one stack frame per U-member, one push site for roots and
-children alike), on the graph in label order. It runs instead only when
-the kernel does not load (no C compiler), never for a particular graph.
-Both read the graph's int32 CSR unchecked, since a Graph is read-only
-once built with n < 2**31 and fewer than 2**31 entries. They return the
-samples as one int64 row per checkpoint, in TRAJECTORY_COLUMNS order, the
-tree records and the forest with labels and push counts in int32 and
-clocks in int64, and raise the same InvariantViolation on the same input,
-through one table (_VIOLATIONS); the tests compare them on every small
-graph.
+_native), which lays the graph out from its edges component by component,
+so that the walk stays in cache. `_explore_python` is the same loop in
+Python, frame for frame (one stack frame per U-member, one push site for
+roots and children alike), on the CSR `randomness._csr_numpy` derives from
+the same edges in label order; both read each row in the same order. It
+runs instead only when the kernel does not load (no C compiler), never for
+a particular graph. Both read the graph's int32 edges unchecked, since a
+Graph is read-only once built from checked edges, with n < 2**31 and
+fewer than 2**30 edges. They return the samples as one int64 row per
+checkpoint, in TRAJECTORY_COLUMNS order, the tree records and the forest
+with labels and push counts in int32 and clocks in int64, and raise the
+same InvariantViolation on the same input, through one table
+(_VIOLATIONS); the tests compare them on every small graph and on edge
+lists no Graph builds.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import numpy as np
 from .diagnostics import (RunResult, assemble_run_report, component_census,
                           engine_checkpoints, trajectory_array)
 from .errors import ConfigError, InvariantViolation
+from .randomness import _csr_numpy
 
 
 class TIndex:
@@ -153,7 +156,7 @@ def _violation(code, *context):
 
 
 def _explore_native(lib, graph, cps, forest):
-    """The exploration loop in C, on the graph's int32 CSR; returns what
+    """The exploration loop in C, on the graph's int32 edges; returns what
     _explore_python returns."""
     from ._native import address as at
     n = graph.n
@@ -167,7 +170,7 @@ def _explore_native(lib, graph, cps, forest):
             np.empty(n, dtype=i64))
     rows = np.empty((len(cp_arr), 7), dtype=i64)
     info = np.zeros(9, dtype=i64)
-    rc = lib.explore(n, at(graph.indptr, i32), at(graph.nbrs, i32),
+    rc = lib.explore(n, at(graph.eu, i32), at(graph.ev, i32), len(graph.eu),
                      at(cp_arr, i64), len(cp_arr), at(start, i32),
                      at(root_m, i64), at(parents, i32), at(push_order, i32),
                      at(push_m, i64), at(rows, i64), at(info, i64))
@@ -181,7 +184,8 @@ def _explore_native(lib, graph, cps, forest):
 
 
 def _explore_python(graph, cps, forest):
-    """`explore` of _kernel.c in Python, frame for frame, in label order.
+    """`explore` of _kernel.c in Python, frame for frame, on the CSR of
+    the graph's edges in label order.
 
     Returns (samples, trees, forest, m, max_U, max_U_argmax_m,
     longest_forest_path), with a sample row for every checkpoint passed
@@ -193,8 +197,7 @@ def _explore_python(graph, cps, forest):
     n = graph.n
     tindex = TIndex(n)
     present = tindex.present     # 1 while the label is in T
-    indptr = graph.indptr.tolist()
-    nbrs = graph.nbrs.tolist()
+    indptr, nbrs = (a.tolist() for a in _csr_numpy(n, graph.eu, graph.ev))
     tree_start, tree_m = [], []
     if forest:
         parents = [-1] * n

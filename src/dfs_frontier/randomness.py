@@ -32,10 +32,11 @@ compiled without FP contraction or fast-math so that every step rounds as
 in Python); otherwise materialization drives BitStream's bounded skips
 through the same row walk. The tests require the two to agree bit for bit
 and check both against an explicit pair list. A graph is held as
-its CSR adjacency alone (`Graph`), and its one constructor takes the edges,
-the draw's included: it places them by counting, in C (`csr_build`), with
-no sort, and that pass checks each edge (in range, u < v, after the last in
-lex order). So every Graph is a simple graph.
+its edges (`Graph`), and its one constructor, the draw's included, checks
+them once, in numpy: each in range, u < v, after the last in lex order. So
+every Graph is a simple graph. The walk lays its own adjacency out from the
+edges; a CSR in label order is derived (`_csr_numpy`) only for the readers
+that ask for one.
 
 Vertex labels and CSR offsets are int32, on both paths; clocks and pair
 ranks stay int64. So a graph has n < 2**31 vertices and fewer than 2**31
@@ -207,23 +208,24 @@ def _integers(a):
 
 
 class Graph:
-    """An undirected simple graph held as its CSR adjacency alone: row v,
-    nbrs[indptr[v]:indptr[v + 1]], lists v's neighbours ascending. Its one
-    constructor takes the edges as endpoint arrays, u < v, lex-sorted and
-    unique (`from_edge_arrays` is the same call; `from_edges`,
-    `materialize_graph` and `read_graph_file` build through it), so the
-    CSR is always the one `csr_build` or `_csr_numpy` made from checked
-    edges, contiguous int32, and m is the edge count. A Graph is read-only
-    once built: indptr and nbrs are views of read-only arrays, so a write
-    into them or setting their write flag raises ValueError (their owners
-    stay reachable as `.base`), and assigning an attribute raises
-    AttributeError. n >= 2**31 or 2**30
-    edges and more raise ConfigError before anything is allocated; an
-    endpoint outside [0, n), checked in the arrays' own dtype before the
+    """An undirected simple graph held as its edges: eu and ev, read-only
+    int32 arrays of the endpoints, u < v, lex-sorted and unique, so m is
+    the edge count. Its one constructor takes the edges as endpoint arrays
+    (`from_edge_arrays` is the same call; `from_edges`, `materialize_graph`
+    and `read_graph_file` build through it) and checks them there. Its CSR
+    adjacency, row v nbrs[indptr[v]:indptr[v + 1]] listing v's neighbours
+    ascending, is derived from them by `_csr_numpy` on first use and kept.
+    A Graph is read-only once built: eu, ev, indptr and nbrs are views of
+    read-only arrays, so a write into them or setting their write flag
+    raises ValueError (their owners stay reachable as `.base`), and
+    assigning an attribute raises AttributeError. The constructor copies
+    the edges, so the arrays it was given stay the caller's. n >= 2**31 or
+    2**30 edges and more raise ConfigError before anything is allocated;
+    an endpoint outside [0, n), checked in the arrays' own dtype before the
     cast to int32, a bad shape or an edge out of order raises ValueError.
     """
 
-    __slots__ = ("n", "m", "indptr", "nbrs")
+    __slots__ = ("n", "m", "eu", "ev", "_csr")
 
     def __init__(self, n, eu, ev):
         if not 0 <= n < LABEL_LIMIT:
@@ -238,34 +240,38 @@ class Graph:
         if len(eu) and (min(eu.min(), ev.min()) < 0
                         or max(eu.max(), ev.max()) >= n):
             raise ValueError("vertex id out of range")
-        eu = np.ascontiguousarray(eu, dtype=np.int32)
-        ev = np.ascontiguousarray(ev, dtype=np.int32)
-        from . import _native
-        lib = _native.kernel()
-        if lib is None:
-            indptr, nbrs = _csr_numpy(n, eu, ev)
-        else:
-            indptr = np.empty(n + 1, dtype=np.int32)
-            nbrs = np.empty(2 * len(eu), dtype=np.int32)
-            at = _native.address
-            fault = lib.csr_build(n, at(eu, np.int32), at(ev, np.int32),
-                                  len(eu), at(indptr, np.int32),
-                                  at(nbrs, np.int32))
-            if fault:
-                raise ValueError("vertex id out of range" if fault == 1
-                                 else _ORDER_FAULT)
-        indptr.flags.writeable = nbrs.flags.writeable = False
+        eu = np.array(eu, dtype=np.int32)
+        ev = np.array(ev, dtype=np.int32)
+        # Endpoints lie in [0, n), so int32 differences cannot wrap.
+        du = np.diff(eu)
+        if not ((eu < ev).all() and (du >= 0).all()
+                and ((du > 0) | (np.diff(ev) > 0)).all()):
+            raise ValueError(_ORDER_FAULT)
         for name, value in zip(self.__slots__,
-                               (n, len(eu), indptr.view(), nbrs.view())):
+                               (n, len(eu), *_frozen(eu, ev), None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Graph is read-only: cannot set {name!r}")
 
+    @property
+    def indptr(self):
+        return self._rows()[0]
+
+    @property
+    def nbrs(self):
+        return self._rows()[1]
+
+    def _rows(self):
+        if self._csr is None:
+            object.__setattr__(self, "_csr",
+                               _frozen(*_csr_numpy(self.n, self.eu, self.ev)))
+        return self._csr
+
     @classmethod
     def from_edge_arrays(cls, n, eu, ev):
         """Graph(n, eu, ev): the name the builders and the benchmark's
-        trace use for the CSR build."""
+        trace use for the edge check."""
         return cls(n, eu, ev)
 
     @classmethod
@@ -284,12 +290,8 @@ class Graph:
         return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
 
     def edge_arrays(self):
-        """The edges as int32 arrays (eu, ev), u < v, lex-sorted: the
-        entries of each row above its vertex."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int32),
-                         np.diff(self.indptr))
-        upper = self.nbrs > rows
-        return rows[upper], self.nbrs[upper]
+        """The edges as int32 arrays (eu, ev), u < v, lex-sorted."""
+        return self.eu, self.ev
 
     def edges(self):
         """The edges as a list of (u, v) pairs, in edge_arrays' order."""
@@ -298,8 +300,8 @@ class Graph:
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.nbrs, other.nbrs))
+                and np.array_equal(self.eu, other.eu)
+                and np.array_equal(self.ev, other.ev))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -313,7 +315,7 @@ def materialize_graph(n, p, seed):
     sequence of BitStream(seed, p) over the pair space. n >= 2**31, or an
     expected 2**31 CSR entries or more (2 p C(n, 2)), raises ConfigError
     before anything is drawn or allocated; a draw that lands past the cap
-    all the same raises it before the CSR is built.
+    all the same raises it before the edges are copied.
     """
     if not 0 <= n < LABEL_LIMIT:
         raise ConfigError(f"n must be in [0, 2**31), got {n}")
@@ -331,16 +333,20 @@ def materialize_graph(n, p, seed):
     return Graph.from_edge_arrays(n, eu, ev)
 
 
+def _frozen(*arrays):
+    """Read-only views of read-only arrays: the views' write flag cannot be
+    turned back on."""
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(a.view() for a in arrays)
+
+
 def _csr_numpy(n, eu, ev):
-    """(indptr, nbrs), int32, as csr_build in _kernel.c places them: row x
-    lists the u < x of edges (u, x), then the v > x of edges (x, v), each
-    ascending because the edges are lex-sorted; a stable sort by row keeps
-    that order. First, as csr_build, it checks u < v and strictly rising lex
-    order; endpoints lie in [0, n), so int32 differences cannot wrap."""
-    du = np.diff(eu)
-    if not ((eu < ev).all() and (du >= 0).all()
-            and ((du > 0) | (np.diff(ev) > 0)).all()):
-        raise ValueError(_ORDER_FAULT)
+    """(indptr, nbrs), int32, of the edges (eu, ev), endpoints in [0, n):
+    row x lists the u of edges (u, x), then the v of edges (x, v), each in
+    edge order, which a stable sort by row keeps. For a Graph's lex-sorted
+    edges with u < v that is each row ascending; the Python loop also gives
+    it the tests' raw edge lists, in any order."""
     src = np.concatenate([ev, eu])
     dst = np.concatenate([eu, ev])
     nbrs = dst[np.argsort(src, kind="stable")]
@@ -396,7 +402,7 @@ def _gap_edges(n, p, seed):
 
 def write_graph_file(graph, path):
     """Write the canonical text format: "n m" then m lines "u v", 0-based,
-    u < v, lex-sorted, formatted from the CSR 4096 edges at a time. The
+    u < v, lex-sorted, formatted 4096 edges at a time. The
     write is atomic (temp file + rename)."""
     pairs = np.column_stack(graph.edge_arrays())
     parts = [f"{graph.n} {graph.m}\n"]

@@ -117,9 +117,10 @@ def run_reference(n, oracle, checkpoints=None, *, epsilon=None, p=None,
     if graph_mode:
         if oracle.n != n:
             raise ConfigError(f"oracle graph has n={oracle.n}, run has n={n}")
-        indptr = oracle.indptr.tolist()
-        nbrs = oracle.nbrs.tolist()
-        nbr_sets = [set(nbrs[indptr[v]:indptr[v + 1]]) for v in range(n)]
+        nbr_sets = [set() for _ in range(n)]
+        for u, v in zip(oracle.eu.tolist(), oracle.ev.tolist()):
+            nbr_sets[u].add(v)
+            nbr_sets[v].add(u)
         if realize:
             raise ConfigError("realize=True needs a stream oracle")
     cps = engine_checkpoints(n, epsilon, checkpoints)

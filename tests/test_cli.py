@@ -529,9 +529,10 @@ print((peak_kib() - before) / 1024)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs VmHWM from /proc/self/status")
 def test_run_n1e6_memory_budget():
-    # int32 labels: the CSR and the edges at half the int64 width, and no
-    # per-vertex forest: the walk writes two numbers per tree. 28-30 MiB;
-    # 40 MiB with the forest, 55 MiB with int64 labels as well.
+    # int32 labels: the edges at half the int64 width, no label-order CSR
+    # beside them, and no per-vertex forest: the walk writes two numbers
+    # per tree. 27 MiB; 29 MiB with a label-order CSR, 40 MiB with the
+    # forest as well, 55 MiB with int64 labels too.
     src = os.path.dirname(os.path.dirname(cli.__file__))
     done = subprocess.run([sys.executable, "-c", MEMORY_PROBE],
                           capture_output=True, text=True,

@@ -154,27 +154,28 @@ class TestSmallTraces:
 
     @pytest.mark.parametrize("native", [True, False])
     def test_unsorted_adjacency_raises(self, native):
-        # A CSR no Graph builds: the star's row 0 as [2, 1]. Without the
-        # walk's guard the loops would return the wrong forest [-1, 0, 0];
-        # both stop at the same query: 0 meets 1 after its frontier moved
-        # to 2.
-        csr = SimpleNamespace(n=3, indptr=np.array([0, 2, 3, 4], np.int32),
-                              nbrs=np.array([2, 1, 0, 0], np.int32))
+        # An edge list no Graph builds: the star as (0, 2), (0, 1), so row
+        # 0 reads [2, 1]. Without the walk's guard the loops would return
+        # the wrong forest [-1, 0, 0]; both stop at the same query: 0 meets
+        # 1 after its frontier moved to 2.
+        star = SimpleNamespace(n=3, eu=np.array([0, 0], np.int32),
+                               ev=np.array([2, 1], np.int32))
         lib = _native.kernel()
         if native and lib is None:
             pytest.skip("native kernel unavailable (no C compiler)")
         with pytest.raises(InvariantViolation,
                            match="^T-neighbor at or below frontier$") as exc:
             if native:
-                _explore_native(lib, csr, [0], False)
+                _explore_native(lib, star, [0], False)
             else:
-                _explore_python(csr, [0], False)
+                _explore_python(star, [0], False)
         assert exc.value.context == {"vertex": 0, "frontier": 2, "target": 1}
 
     def test_empty_jump_raises(self, monkeypatch):
         # A T index that counts no label makes a jump toward a T-neighbor
-        # consume no query. No CSR can: a T-neighbor past the frontier is
-        # one more label counted. The kernel's twin guard has no such seam.
+        # consume no query. No edge list can: a T-neighbor past the
+        # frontier is one more label counted. The kernel's twin guard has no
+        # such seam.
         monkeypatch.setattr(TIndex, "count_leq", lambda self, label: 0)
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(InvariantViolation,
@@ -185,7 +186,7 @@ class TestSmallTraces:
     def test_negative_q_su_raises(self, monkeypatch):
         # A T index that counts 5 labels at or below -1 puts 5 pairs in
         # q_UT before any query is asked, so q_SU at the checkpoint m = 0 is
-        # -5. No CSR can: the frontier sum counts only queried pairs.
+        # -5. No edge list can: the frontier sum counts only queried pairs.
         count_leq = TIndex.count_leq
         monkeypatch.setattr(TIndex, "count_leq", lambda self, label: (
             count_leq(self, label) + 5 * (label < 0)))

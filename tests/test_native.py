@@ -1,7 +1,8 @@
 """The native kernel against the Python loops it ports: the exploration loop
-on every small graph and the random-trial graphs, the gap draw on a grid of
-(n, p, seed), the CSR build against the stable sort, the walk's forest
-diameter against the DP, and whole runs without a compiler."""
+on every small graph, the random-trial graphs and raw edge lists no Graph
+builds, the gap draw on a grid of (n, p, seed), the walk's forest diameter
+against the DP, a build under UBSan, and whole runs without a compiler.
+Graph's edge checks run here too, with the kernel loaded and without."""
 
 import math
 import os
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 from census_oracle import report_census, scipy_census
-from dfs_frontier import _native, cli
+from dfs_frontier import _native, cli, fast_engine, randomness
 from dfs_frontier.diagnostics import (checkpoint_schedule, component_census,
                                       forest_diameter_from_parents,
                                       forest_trees)
+from dfs_frontier.errors import InvariantViolation
 from dfs_frontier.fast_engine import (_explore_native, _explore_python,
                                       run_fast)
 from dfs_frontier.oracle import (RANDOM_DENSITY_LADDER, RANDOM_SIZES,
@@ -114,27 +116,62 @@ def test_explore_checkpoints_past_the_pair_space(lib, python_loops):
                           python_loops(run_fast, graph, cps).samples)
 
 
-def test_explore_one_directional_rows(lib):
-    # CSRs no Graph builds: rows that need not mirror each other. The
-    # kernel's slot layout then groups the vertices more coarsely than the
-    # walk meets them, which changes nothing: both loops pick roots and
-    # neighbors by label.
+def raw_edge_lists():
+    """Edge lists no Graph builds, on n in [2, 40): drawn pairs with repeats,
+    some of them reversed (u > v), in lex order or shuffled."""
     rng = np.random.default_rng(11)
     for _ in range(60):
         n = int(rng.integers(2, 40))
-        rows = [sorted(set(rng.integers(0, n, rng.integers(0, 4)).tolist())
-                       - {v}) for v in range(n)]
-        csr = SimpleNamespace(
-            n=n, indptr=np.cumsum([0] + [len(r) for r in rows],
-                                  dtype=np.int32),
-            nbrs=np.array([x for r in rows for x in r], dtype=np.int32))
-        native = _explore_native(lib, csr, [0], True)
-        python = _explore_python(csr, [0], True)
-        samples, trees, walked, *counts = native
-        assert np.array_equal(samples, python[0]), rows
-        for a, b in zip((*trees, *walked), (*python[1], *python[2])):
-            assert a.dtype == b.dtype and np.array_equal(a, b), rows
-        assert counts == list(python[3:]), rows
+        u, v = np.sort(rng.integers(0, n, (2, int(rng.integers(0, 2 * n)))),
+                       axis=0)
+        keep = u < v
+        u, v = u[keep], v[keep]
+        order = np.lexsort((v, u))
+        if rng.random() < 0.5:
+            order = rng.permutation(order)
+        flip = rng.random(len(u)) < 0.1
+        eu, ev = np.where(flip, v, u)[order], np.where(flip, u, v)[order]
+        yield SimpleNamespace(n=n, eu=eu.astype(np.int32),
+                              ev=ev.astype(np.int32))
+
+
+def explore_outcome(loop, *args):
+    """What an exploration loop returns on the checkpoint 0 with the
+    forest, as lists and dtype names, or the violation it raises."""
+    try:
+        samples, trees, walked, *counts = loop(*args, [0], True)
+    except InvariantViolation as exc:
+        return str(exc), exc.context
+    arrays = (samples, *trees, *walked)
+    return ([a.tolist() for a in arrays], [a.dtype.name for a in arrays],
+            counts)
+
+
+def test_explore_raw_edge_lists(lib):
+    # Both loops read a row as lower neighbours, then upper ones, each in
+    # edge order: the kernel places them so in its slot layout, the Python
+    # loop in _csr_numpy's label order. So on any edge list they return the
+    # same, or stop at the same query where a row runs against the walk's
+    # label order.
+    raised = 0
+    for graph in raw_edge_lists():
+        native = explore_outcome(_explore_native, lib, graph)
+        assert native == explore_outcome(_explore_python, graph), (
+            graph.eu, graph.ev)
+        raised += isinstance(native[0], str)
+    assert 10 <= raised <= 50
+
+
+def test_run_builds_no_label_order_csr(lib, monkeypatch):
+    # The kernel lays its rows out from the edges: a run with it reads no
+    # indptr or nbrs, so it builds no CSR in label order.
+    def no_csr(*args):
+        raise AssertionError("label-order CSR built")
+    monkeypatch.setattr(randomness, "_csr_numpy", no_csr)
+    monkeypatch.setattr(fast_engine, "_csr_numpy", no_csr)
+    report, _ = cli.execute_run(cli.RunConfig(n=2000, epsilon=0.1, p=None,
+                                              seed=7))
+    assert report.dfs_query_total > 0
 
 
 @pytest.mark.parametrize("relayout", [lambda a: a.astype(np.int64),
@@ -143,49 +180,11 @@ def test_explore_one_directional_rows(lib):
 def test_address_refuses_arrays_of_another_layout(relayout):
     # The kernels take bare addresses: `address` gives one only for the
     # layout they read, and NULL for None.
-    nbrs = materialize_graph(50, 0.1, 1).nbrs
-    assert _native.address(nbrs, np.int32) == nbrs.ctypes.data
+    eu = materialize_graph(50, 0.1, 1).eu
+    assert _native.address(eu, np.int32) == eu.ctypes.data
     assert _native.address(None, np.int32) is None
     with pytest.raises(TypeError, match="C-contiguous int32"):
-        _native.address(relayout(nbrs), np.int32)
-
-
-def edge_arrays(graph):
-    return np.array(graph.edges(), dtype=np.int64).reshape(-1, 2).T
-
-
-def assert_same_csr(native, python):
-    assert native.n == python.n
-    for name in ("indptr", "nbrs"):
-        a, b = getattr(native, name), getattr(python, name)
-        assert a.dtype == b.dtype == np.int32, name
-        assert np.array_equal(a, b), (name, native.edges())
-
-
-def test_csr_build_every_graph_up_to_five_vertices(lib, python_loops):
-    for _label, graph, _stride in enumeration_cases():
-        assert_same_csr(graph, python_loops(
-            Graph.from_edge_arrays, graph.n, *edge_arrays(graph)))
-
-
-def test_csr_build_empty_and_large_graphs(lib, python_loops):
-    for n in (0, 1):
-        empty = np.empty(0, dtype=np.int64)
-        assert_same_csr(Graph.from_edge_arrays(n, empty, empty),
-                        python_loops(Graph.from_edge_arrays, n, empty, empty))
-    graph = materialize_graph(10**5, 1.1e-5, 3)
-    assert graph.m > 50_000
-    assert_same_csr(graph, python_loops(
-        Graph.from_edge_arrays, graph.n, *edge_arrays(graph)))
-
-
-def test_csr_build_file_round_trip(lib, python_loops, tmp_path):
-    graph = materialize_graph(3000, 2.0 / 3000, 9)
-    path = str(tmp_path / "g.txt")
-    write_graph_file(graph, path)
-    native = read_graph_file(path)
-    assert_same_csr(native, python_loops(read_graph_file, path))
-    assert_same_csr(native, graph)
+        _native.address(relayout(eu), np.int32)
 
 
 @pytest.mark.parametrize("eu, ev", [([0], [7]), ([-1], [1]),
@@ -193,14 +192,15 @@ def test_csr_build_file_round_trip(lib, python_loops, tmp_path):
 @pytest.mark.parametrize("as_int32", [True, False])
 def test_csr_build_rejects_endpoints_outside_the_graph(lib, python_loops,
                                                        eu, ev, as_int32):
-    # Out of [0, n), or an endpoint without its partner: never read past
-    # the arrays, whether they arrive as lists or already in the int32 the
-    # kernel reads.
+    # Out of [0, n), on either side, or an endpoint without its partner:
+    # refused before the walk could read past its arrays, whether they
+    # arrive as lists or already in the int32 the kernel reads.
     if as_int32:
         eu, ev = np.array(eu, dtype=np.int32), np.array(ev, dtype=np.int32)
+    fault = "vertex id out of range" if len(eu) == len(ev) else "one length"
     for build in (Graph.from_edge_arrays,
                   lambda *a: python_loops(Graph.from_edge_arrays, *a)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=fault):
             build(3, eu, ev)
 
 
@@ -208,28 +208,6 @@ def test_csr_build_rejects_endpoints_outside_the_graph(lib, python_loops,
 # edge ahead of it, and a repeat.
 MISORDERED = ([[0, 0, 2], [1, 2, 2]], [[0, 0, 2], [1, 2, 1]],
               [[0, 1, 0], [2, 2, 1]], [[0, 0, 0], [1, 2, 2]])
-
-
-def test_csr_build_checks_every_endpoint_before_writing(lib):
-    # The bad edge comes last: the kernel reports it, and nbrs is still
-    # untouched. An endpoint out of range, on either side, is fault 1.
-    faults = []
-    for side in (0, 1):
-        for bad in (3, -1):
-            ends = np.array([[0, 0, 1], [1, 2, 2]], dtype=np.int32)
-            ends[side, -1] = bad
-            faults.append((ends, 1))
-    faults += [(np.array(ends, dtype=np.int32), 2) for ends in MISORDERED]
-    for ends, fault in faults:
-        indptr = np.zeros(4, dtype=np.int32)
-        nbrs = np.full(6, -7, dtype=np.int32)
-        ptrs = [_native.address(a, np.int32)
-                for a in (ends[0], ends[1], indptr, nbrs)]
-        assert lib.csr_build(3, *ptrs[:2], 3, *ptrs[2:]) == fault
-        assert (nbrs == -7).all()
-    # Past the 32-bit cap, refused before any array is read.
-    assert lib.csr_build(3, *ptrs[:2], 2**30, *ptrs[2:]) == 1
-    assert lib.csr_build(2**31, *ptrs[:2], 3, *ptrs[2:]) == 1
 
 
 def test_edge_order_fault_same_on_both_paths(lib, python_loops):
@@ -323,19 +301,25 @@ def test_forest_diameter_matches_python_loop(lib, python_loops):
                         ), (n, p, trial)
 
 
-# The same corpus and one large run on a build of the kernel that aborts on
-# undefined behaviour. n = 300,000 takes the layout's prefetches and the
-# walk through graphs far past AHEAD entries.
+# The same corpus, the raw edge lists and one large run on a build of the
+# kernel that aborts on undefined behaviour. The raw lists take the layout's
+# placing passes through unsorted, repeated and reversed edges; n = 300,000
+# takes its prefetches and the walk through graphs far past AHEAD entries.
 UBSAN_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
 UBSAN_RUN = """
 import ctypes, sys
 from dfs_frontier import _native
-from dfs_frontier.fast_engine import run_fast
+from dfs_frontier.fast_engine import _explore_native, _explore_python, run_fast
 from dfs_frontier.oracle import _check_cases, enumeration_cases, trial_cases
 from dfs_frontier.randomness import materialize_graph
-_native._lib = _native._declare(ctypes.CDLL(sys.argv[1]))
+from test_native import explore_outcome, raw_edge_lists
+lib = _native._lib = _native._declare(ctypes.CDLL(sys.argv[1]))
 swept = _check_cases([*enumeration_cases(), *trial_cases(200)], None)
-print(swept.graphs_checked, len(swept.mismatches))
+same = [explore_outcome(_explore_native, lib, graph)
+        == explore_outcome(_explore_python, graph)
+        for graph in raw_edge_lists()]
+print(swept.graphs_checked, len(swept.mismatches), len(same),
+      same.count(False))
 n, eps, seed = 300_000, 0.1, 7
 p = (1 + eps) / n
 print(run_fast(materialize_graph(n, p, seed), epsilon=eps, p=p,
@@ -362,10 +346,11 @@ def test_kernel_has_no_undefined_behaviour(lib, tmp_path):
         pytest.skip(f"no UBSan build: {built.stderr.strip()[-300:]}")
     done = subprocess.run([sys.executable, "-c", UBSAN_RUN, path],
                           capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              (SRC, os.path.dirname(__file__)))))
     assert done.returncode == 0, done.stderr[-2000:]
     counts, report = done.stdout.split("\n", 1)
-    assert counts == "1299 0"
+    assert counts == "1299 0 60 0"
     n, eps, seed = 300_000, 0.1, 7
     p = (1 + eps) / n
     want = run_fast(materialize_graph(n, p, seed), epsilon=eps, p=p,

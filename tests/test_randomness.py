@@ -253,6 +253,44 @@ class TestGraph:
         assert g.m == 1 and g.edges() == [(0, 1)]
         assert g.indptr.dtype == g.nbrs.dtype == np.int32
 
+    def test_empty_graphs(self):
+        for n in (0, 1):
+            g = Graph(n, np.empty(0, dtype=np.int64), [])
+            assert (g.n, g.m, g.edges()) == (n, 0, [])
+            assert g.indptr.tolist() == [0] * (n + 1)
+            assert len(g.nbrs) == 0
+            for a in (g.eu, g.ev, g.indptr, g.nbrs):
+                assert a.dtype == np.int32
+
+    def test_edge_faults(self):
+        # The last edge is bad: an endpoint out of range on either side is
+        # a range fault, an edge out of order an order fault.
+        faults = []
+        for side in (0, 1):
+            for bad in (3, -1):
+                ends = np.array([[0, 0, 1], [1, 2, 2]], dtype=np.int32)
+                ends[side, -1] = bad
+                faults.append((ends, "^vertex id out of range$"))
+        for ends in ([[0, 0, 2], [1, 2, 2]], [[0, 0, 2], [1, 2, 1]],
+                     [[0, 1, 0], [2, 2, 1]], [[0, 0, 0], [1, 2, 2]]):
+            faults.append((np.array(ends, dtype=np.int32),
+                           "^edges must have u < v and be lex-sorted and "
+                           "unique$"))
+        for (eu, ev), message in faults:
+            with pytest.raises(ValueError, match=message):
+                Graph(3, eu, ev)
+
+    def test_input_arrays_stay_the_callers(self):
+        # Graph copies its edges: an int32 array it was given stays
+        # writable, and a write to it afterwards leaves the graph alone.
+        eu = np.array([0, 0, 1], dtype=np.int32)
+        ev = np.array([1, 2, 2], dtype=np.int32)
+        g = Graph(3, eu, ev)
+        eu[:] = ev[:] = 0
+        assert eu.flags.writeable and ev.flags.writeable
+        assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+        assert g.nbrs.tolist() == [1, 2, 0, 2, 0, 1]
+
     def test_edge_arrays_are_int32(self):
         eu, ev = Graph.from_edges(4, [(0, 3), (1, 2)]).edge_arrays()
         assert eu.dtype == ev.dtype == np.int32
@@ -262,10 +300,10 @@ class TestGraph:
                                          "from_edges", "materialize_graph",
                                          "read_graph_file"])
     def test_read_only(self, builder, python_loops, tmp_path):
-        # Each builder's triangle keeps the CSR it was built with: row 0
-        # cannot become [2, 1], which the walk would follow to the wrong
-        # forest [-1, 2, 0], neither array's write flag can be turned back
-        # on, and no attribute can be rebound.
+        # Each builder's triangle keeps the edges it was built with, and
+        # the CSR derived from them: row 0 cannot become [2, 1], which the
+        # walk would follow to the wrong forest [-1, 2, 0], no array's write
+        # flag can be turned back on, and no attribute can be rebound.
         triangle = [(0, 1), (0, 2), (1, 2)]
         path = str(tmp_path / "triangle.txt")
         write_graph_file(Graph.from_edges(3, triangle), path)
@@ -277,13 +315,14 @@ class TestGraph:
              "read_graph_file": lambda: read_graph_file(path)}[builder]()
         for name, index, value in [("nbrs", slice(0, 2), [2, 1]),
                                    ("nbrs", 5, 3), ("indptr", 1, 3),
-                                   ("indptr", 0, 1)]:
+                                   ("indptr", 0, 1), ("eu", 2, 0),
+                                   ("ev", slice(0, 2), [2, 1])]:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(g, name)[index] = value
-        for name in ("indptr", "nbrs"):
+        for name in ("eu", "ev", "indptr", "nbrs"):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 getattr(g, name).flags.writeable = True
-        for name in ("n", "m", "indptr", "nbrs"):
+        for name in ("n", "m", "eu", "ev", "indptr", "nbrs"):
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(g, name, getattr(g, name))
         assert g.edges() == triangle and (g.n, g.m) == (3, 3)
@@ -434,10 +473,16 @@ class TestMaterializeGraph:
 
 class TestGraphFile:
     def test_round_trip(self, tmp_path):
-        g = materialize_graph(60, 0.1, 3)
-        path = str(tmp_path / "g.txt")
-        write_graph_file(g, path)
-        assert read_graph_file(path) == g
+        for g in (materialize_graph(60, 0.1, 3),
+                  materialize_graph(3000, 2.0 / 3000, 9)):
+            path = str(tmp_path / "g.txt")
+            write_graph_file(g, path)
+            back = read_graph_file(path)
+            assert back == g
+            for name in ("eu", "ev", "indptr", "nbrs"):
+                a, b = getattr(back, name), getattr(g, name)
+                assert a.dtype == b.dtype == np.int32
+                assert np.array_equal(a, b), name
 
     def test_empty_graph_round_trip(self, tmp_path):
         g = Graph.from_edges(4, [])
