@@ -187,6 +187,20 @@ def test_address_refuses_arrays_of_another_layout(relayout):
         _native.address(relayout(eu), np.int32)
 
 
+def test_csr_build_file_round_trip(lib, python_loops, tmp_path):
+    # A graph read back from its file, with the kernel loaded and without,
+    # has the edges and the CSR rows of the graph that was written.
+    graph = materialize_graph(3000, 2.0 / 3000, 9)
+    path = str(tmp_path / "g.txt")
+    write_graph_file(graph, path)
+    for back in (read_graph_file(path), python_loops(read_graph_file, path)):
+        assert back == graph and back.n == graph.n
+        for name in ("eu", "ev", "indptr", "nbrs"):
+            a, b = getattr(back, name), getattr(graph, name)
+            assert a.dtype == b.dtype == np.int32, name
+            assert np.array_equal(a, b), name
+
+
 @pytest.mark.parametrize("eu, ev", [([0], [7]), ([-1], [1]),
                                     ([0, 1], [2])])
 @pytest.mark.parametrize("as_int32", [True, False])
