@@ -6,7 +6,7 @@
  * present: BitStream.skip_to_next_success with its row walk, as
  * randomness._gap_edges drives it, and fast_engine._explore_python, which
  * keeps the same stack frames and the same single push site, on the CSR
- * randomness._csr_numpy builds in label order from the same edges.
+ * fast_engine._csr_numpy builds in label order from the same edges.
  * The outputs are identical bit for bit. The gap draw relies on that: it
  * must be compiled without -ffast-math and without FP contraction (-std=c99
  * turns contraction off), so that u, log1p(-u) and the quotient round
@@ -179,8 +179,8 @@ static void place(int64_t ne, const int32_t *from, const int32_t *to,
  * the order the walk visits them in. Adjacency rows hold slots and labels
  * are looked up per slot, so the walk reads memory close to what it read
  * last, where in label order nearly every step was a cache miss. Row s
- * lists the slots of the neighbours that randomness._csr_numpy's row of the
- * vertex in slot s lists, in the same order: the eu[i] of the edges with
+ * lists the slots of the neighbours that fast_engine._csr_numpy's row of
+ * the vertex in slot s lists, in the same order: the eu[i] of the edges with
  * ev[i] at that vertex, then the ev[i] of the edges with eu[i] at it, each
  * in edge order, which for lex-sorted edges with u < v is ascending. The
  * layout decides nothing: roots, scan order and counts all go by label, so

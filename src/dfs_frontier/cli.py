@@ -154,7 +154,7 @@ def cmd_sweep(args):
             yield from map(execute_run, configs)
             return
         from multiprocessing import Pool
-        with Pool(args.jobs) as pool:
+        with Pool(min(args.jobs, len(configs))) as pool:
             yield from pool.imap(execute_run, configs)
     os.makedirs(args.out, exist_ok=True)
     group = []
@@ -229,14 +229,18 @@ def cmd_equivalence(args):
         raise ConfigError(f"--random-trials must be >= 0, got {args.random_trials}")
     if not 0 <= args.seed <= MAX_SEED:
         raise ConfigError(f"seed must be a 64-bit integer, got {args.seed}")
+    # Trial i draws seed + i, which must stay a 64-bit seed too.
+    trials = args.random_trials * len(RANDOM_SIZES)
+    if args.seed + trials - 1 > MAX_SEED:
+        raise ConfigError(f"--seed {args.seed} with {trials} random trials "
+                          "draws seeds past 2**64 - 1")
     res = equivalence_sweep(args.n_max, out_dir=args.out)
     print(f"enumeration to n={args.n_max}: {res.graphs_checked} graphs, "
           f"{len(res.mismatches)} mismatches")
     mismatches = res.mismatches
     if args.random_trials:
-        res2 = random_equivalence_trials(
-            args.random_trials * len(RANDOM_SIZES), seed=args.seed,
-            out_dir=args.out)
+        res2 = random_equivalence_trials(trials, seed=args.seed,
+                                         out_dir=args.out)
         print(f"random trials: {res2.graphs_checked} graphs "
               f"({args.random_trials} per size in {list(RANDOM_SIZES)}), "
               f"{len(res2.mismatches)} mismatches")

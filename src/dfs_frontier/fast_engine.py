@@ -40,17 +40,18 @@ The loop runs in C (`explore` in _kernel.c, compiled on first use by
 _native), which lays the graph out from its edges component by component,
 so that the walk stays in cache. `_explore_python` is the same loop in
 Python, frame for frame (one stack frame per U-member, one push site for
-roots and children alike), on the CSR `randomness._csr_numpy` derives from
-the same edges in label order; both read each row in the same order. It
-runs instead only when the kernel does not load (no C compiler), never for
-a particular graph. Both read the graph's int32 edges unchecked, since a
-Graph is read-only once built from checked edges, with n < 2**31 and
-fewer than 2**30 edges. They return the samples as one int64 row per
-checkpoint, in TRAJECTORY_COLUMNS order, the tree records and the forest
-with labels and push counts in int32 and clocks in int64, and raise the
-same InvariantViolation on the same input, through one table
-(_VIOLATIONS); the tests compare them on every small graph and on edge
-lists no Graph builds.
+roots and children alike), on the CSR that `_csr_numpy` lays out from the
+same edges in label order; both read each row in the same order: lower
+neighbours, then upper ones, each in edge order. It runs instead only when
+the kernel does not load (no C compiler), never for a particular graph.
+Both read the graph's int32 edges unchecked, since a Graph is read-only
+once built from checked edges, with n < 2**31 and fewer than 2**30 edges,
+so the int32 offsets of either adjacency (2m entries) cannot wrap. They
+return the samples as one int64 row per checkpoint, in TRAJECTORY_COLUMNS
+order, the tree records and the forest with labels and push counts in
+int32 and clocks in int64, and raise the same InvariantViolation on the
+same input, through one table (_VIOLATIONS); the tests compare them on
+every small graph and on edge lists no Graph builds.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ import numpy as np
 from .diagnostics import (RunResult, assemble_run_report, component_census,
                           engine_checkpoints, trajectory_array)
 from .errors import ConfigError, InvariantViolation
-from .randomness import _csr_numpy
 
 
 class TIndex:
@@ -181,6 +181,20 @@ def _explore_native(lib, graph, cps, forest):
         raise MemoryError(f"explore kernel at n = {n}")
     trees = start[:ntree], root_m[:ntree]
     return rows[:taken], trees, walked, m, max_u, max_u_m, lfp
+
+
+def _csr_numpy(n, eu, ev):
+    """(indptr, nbrs), int32, of the edges (eu, ev), endpoints in [0, n):
+    row x lists the u of edges (u, x), then the v of edges (x, v), each in
+    edge order, which a stable sort by row keeps. For a Graph's lex-sorted
+    edges with u < v that is each row ascending; the tests also give the
+    Python loop raw edge lists, in any order."""
+    src = np.concatenate([ev, eu])
+    dst = np.concatenate([eu, ev])
+    nbrs = dst[np.argsort(src, kind="stable")]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, nbrs
 
 
 def _explore_python(graph, cps, forest):

@@ -46,9 +46,14 @@ def exact_longest_path(graph):
     ends}, layered by path length; O(2^c * c * deg) time per component of
     size c. Components larger than MAX_EXACT_COMPONENT vertices are refused.
 
-    Components come from a breadth-first search over the graph itself, never
-    from an engine's DFS forest: this solver is what checks the engines.
+    Components come from a breadth-first search over neighbour lists built
+    from the graph's edges, never from an engine's DFS forest or layout:
+    this solver is what checks the engines.
     """
+    adj = [[] for _ in range(graph.n)]
+    for u, v in graph.edges():
+        adj[u].append(v)
+        adj[v].append(u)
     seen = bytearray(graph.n)
     best = 0
     for s in range(graph.n):
@@ -57,7 +62,7 @@ def exact_longest_path(graph):
         seen[s] = 1
         verts = [s]
         for v in verts:
-            for w in graph.neighbors(v).tolist():
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = 1
                     verts.append(w)
@@ -68,28 +73,22 @@ def exact_longest_path(graph):
             raise ConfigError(
                 f"component of size {c} exceeds the exact-solver cap "
                 f"{MAX_EXACT_COMPONENT}")
-        got = _component_longest_path(graph, verts)
+        got = _component_longest_path(adj, verts)
         if got > best:
             best = got
     return best
 
 
-def _component_longest_path(graph, verts):
+def _component_longest_path(adj, verts):
+    """Longest simple path, in edges, of the component `verts`, whose
+    neighbour lists `adj` holds."""
     index = {v: i for i, v in enumerate(verts)}
-    c = len(verts)
-    adj = [0] * c
-    for v in verts:
-        i = index[v]
-        bits = 0
-        for w in graph.neighbors(v):
-            j = index.get(w)
-            if j is not None:
-                bits |= 1 << j
-        adj[i] = bits
+    # Every neighbour of a component vertex lies in the component.
+    nbr_bits = [sum(1 << index[w] for w in adj[v]) for v in verts]
     # Layer k holds {vertex-set mask -> bitmask of reachable path ends} for
     # simple paths on k+1 vertices; each layer extends every end by one
     # unused neighbor.
-    cur = {1 << i: 1 << i for i in range(c)}
+    cur = {1 << i: 1 << i for i in range(len(verts))}
     length = 0
     while True:
         nxt = {}
@@ -98,7 +97,7 @@ def _component_longest_path(graph, verts):
             while e_bits:
                 e = (e_bits & -e_bits).bit_length() - 1
                 e_bits &= e_bits - 1
-                cand = adj[e] & ~mask
+                cand = nbr_bits[e] & ~mask
                 while cand:
                     b = cand & -cand
                     cand -= b

@@ -32,17 +32,17 @@ compiled without FP contraction or fast-math so that every step rounds as
 in Python); otherwise materialization drives BitStream's bounded skips
 through the same row walk. The tests require the two to agree bit for bit
 and check both against an explicit pair list. A graph is held as
-its edges (`Graph`), and its one constructor, the draw's included, checks
-them once, in numpy: each in range, u < v, after the last in lex order. So
-every Graph is a simple graph. The walk lays its own adjacency out from the
-edges; a CSR in label order is derived (`_csr_numpy`) only for the readers
-that ask for one.
+its edges (`Graph`) and nothing else, and its one constructor, the draw's
+included, checks them once, in numpy: each in range, u < v, after the last
+in lex order. So every Graph is a simple graph. Each reader lays its own
+adjacency out from the edges.
 
-Vertex labels and CSR offsets are int32, on both paths; clocks and pair
-ranks stay int64. So a graph has n < 2**31 vertices and fewer than 2**31
-CSR entries (2m): `materialize_graph` and `Graph` reject a larger one
-before they allocate, and check labels in the dtype they arrive in, so that
-a cast to int32 never wraps.
+Vertex labels are int32, on both paths; clocks and pair ranks stay int64.
+The exploration loops index their adjacency, 2m entries, with int32
+offsets. So a graph has n < 2**31 vertices and fewer than 2**30 edges:
+`materialize_graph` and `Graph` reject a larger one before they allocate,
+and check labels in the dtype they arrive in, so that a cast to int32 never
+wraps.
 
 The floor of a libm quotient is stable for a given libm. Across platforms
 log1p may differ in its last bit, which moves a quotient q by about
@@ -61,7 +61,7 @@ from .errors import ConfigError, StreamExhausted
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
-# Labels and CSR offsets are int32: n and the CSR's entry count stay below.
+# Labels and adjacency offsets are int32: n and 2m stay below.
 LABEL_LIMIT = 2**31
 _ORDER_FAULT = "edges must have u < v and be lex-sorted and unique"
 
@@ -212,20 +212,20 @@ class Graph:
     int32 arrays of the endpoints, u < v, lex-sorted and unique, so m is
     the edge count. Its one constructor takes the edges as endpoint arrays
     (`from_edge_arrays` is the same call; `from_edges`, `materialize_graph`
-    and `read_graph_file` build through it) and checks them there. Its CSR
-    adjacency, row v nbrs[indptr[v]:indptr[v + 1]] listing v's neighbours
-    ascending, is derived from them by `_csr_numpy` on first use and kept.
-    A Graph is read-only once built: eu, ev, indptr and nbrs are views of
-    read-only arrays, so a write into them or setting their write flag
-    raises ValueError (their owners stay reachable as `.base`), and
-    assigning an attribute raises AttributeError. The constructor copies
-    the edges, so the arrays it was given stay the caller's. n >= 2**31 or
-    2**30 edges and more raise ConfigError before anything is allocated;
-    an endpoint outside [0, n), checked in the arrays' own dtype before the
-    cast to int32, a bad shape or an edge out of order raises ValueError.
+    and `read_graph_file` build through it) and checks them there. A Graph
+    holds n, m, eu and ev and nothing that fills in later; readers lay out
+    their own adjacency from the edges. It is read-only once built: eu and
+    ev are views of read-only arrays, so a write into them or setting their
+    write flag raises ValueError (their owners stay reachable as `.base`),
+    and assigning an attribute raises AttributeError. The constructor
+    copies the edges, so the arrays it was given stay the caller's.
+    n >= 2**31 or 2**30 edges and more raise ConfigError before anything is
+    allocated; an endpoint outside [0, n), checked in the arrays' own dtype
+    before the cast to int32, a bad shape or an edge out of order raises
+    ValueError.
     """
 
-    __slots__ = ("n", "m", "eu", "ev", "_csr")
+    __slots__ = ("n", "m", "eu", "ev")
 
     def __init__(self, n, eu, ev):
         if not 0 <= n < LABEL_LIMIT:
@@ -235,8 +235,8 @@ class Graph:
         if eu.ndim != 1 or eu.shape != ev.shape:
             raise ValueError("endpoint arrays must be 1-D, of one length")
         if 2 * len(eu) >= LABEL_LIMIT:
-            raise ConfigError(f"{len(eu)} edges need 2**31 CSR entries or "
-                              "more")
+            raise ConfigError(f"{len(eu)} edges need 2**31 adjacency "
+                              "entries or more")
         if len(eu) and (min(eu.min(), ev.min()) < 0
                         or max(eu.max(), ev.max()) >= n):
             raise ValueError("vertex id out of range")
@@ -248,25 +248,11 @@ class Graph:
                 and ((du > 0) | (np.diff(ev) > 0)).all()):
             raise ValueError(_ORDER_FAULT)
         for name, value in zip(self.__slots__,
-                               (n, len(eu), *_frozen(eu, ev), None)):
+                               (n, len(eu), *_frozen(eu, ev))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Graph is read-only: cannot set {name!r}")
-
-    @property
-    def indptr(self):
-        return self._rows()[0]
-
-    @property
-    def nbrs(self):
-        return self._rows()[1]
-
-    def _rows(self):
-        if self._csr is None:
-            object.__setattr__(self, "_csr",
-                               _frozen(*_csr_numpy(self.n, self.eu, self.ev)))
-        return self._csr
 
     @classmethod
     def from_edge_arrays(cls, n, eu, ev):
@@ -286,17 +272,9 @@ class Graph:
             eu, ev = (), ()
         return cls.from_edge_arrays(n, eu, ev)
 
-    def neighbors(self, v):
-        return self.nbrs[self.indptr[v]:self.indptr[v + 1]]
-
-    def edge_arrays(self):
-        """The edges as int32 arrays (eu, ev), u < v, lex-sorted."""
-        return self.eu, self.ev
-
     def edges(self):
-        """The edges as a list of (u, v) pairs, in edge_arrays' order."""
-        eu, ev = self.edge_arrays()
-        return list(zip(eu.tolist(), ev.tolist()))
+        """The edges as a list of (u, v) pairs, u < v, lex-sorted."""
+        return list(zip(self.eu.tolist(), self.ev.tolist()))
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
@@ -313,17 +291,17 @@ def materialize_graph(n, p, seed):
     Cost is O(n + E), independent of the C(n,2) pair-space size. The result
     is bit-identical for equal (n, p, seed): the skip sequence is the gap
     sequence of BitStream(seed, p) over the pair space. n >= 2**31, or an
-    expected 2**31 CSR entries or more (2 p C(n, 2)), raises ConfigError
-    before anything is drawn or allocated; a draw that lands past the cap
-    all the same raises it before the edges are copied.
+    expected 2**31 adjacency entries or more (2 p C(n, 2)), raises
+    ConfigError before anything is drawn or allocated; a draw that lands
+    past the cap all the same raises it before the edges are copied.
     """
     if not 0 <= n < LABEL_LIMIT:
         raise ConfigError(f"n must be in [0, 2**31), got {n}")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"p must be in [0, 1], got {p!r}")
     if 2 * pair_count(n) * p >= LABEL_LIMIT:
-        raise ConfigError(f"G({n}, {p!r}) expects 2**31 CSR entries or "
-                          "more")
+        raise ConfigError(f"G({n}, {p!r}) expects 2**31 adjacency entries "
+                          "or more")
     if p == 0.0 or n < 2:
         eu = ev = np.empty(0, dtype=np.int32)
     elif p >= 1.0:
@@ -339,20 +317,6 @@ def _frozen(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return tuple(a.view() for a in arrays)
-
-
-def _csr_numpy(n, eu, ev):
-    """(indptr, nbrs), int32, of the edges (eu, ev), endpoints in [0, n):
-    row x lists the u of edges (u, x), then the v of edges (x, v), each in
-    edge order, which a stable sort by row keeps. For a Graph's lex-sorted
-    edges with u < v that is each row ascending; the Python loop also gives
-    it the tests' raw edge lists, in any order."""
-    src = np.concatenate([ev, eu])
-    dst = np.concatenate([eu, ev])
-    nbrs = dst[np.argsort(src, kind="stable")]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, nbrs
 
 
 def _gap_edges(n, p, seed):
@@ -404,7 +368,7 @@ def write_graph_file(graph, path):
     """Write the canonical text format: "n m" then m lines "u v", 0-based,
     u < v, lex-sorted, formatted 4096 edges at a time. The
     write is atomic (temp file + rename)."""
-    pairs = np.column_stack(graph.edge_arrays())
+    pairs = np.column_stack((graph.eu, graph.ev))
     parts = [f"{graph.n} {graph.m}\n"]
     for i in range(0, len(pairs), 4096):
         block = pairs[i:i + 4096]

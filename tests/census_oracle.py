@@ -18,8 +18,8 @@ def scipy_census(graph, push_m):
     the giant's vertices.
     """
     n = graph.n
-    mat = csr_matrix((np.ones(len(graph.nbrs), dtype=np.int8), graph.nbrs,
-                      graph.indptr), shape=(n, n))
+    mat = csr_matrix((np.ones(graph.m, dtype=np.int8), (graph.eu, graph.ev)),
+                     shape=(n, n))
     ncomp, labels = connected_components(mat, directed=False)
     sizes = np.bincount(labels, minlength=ncomp)
     first_label = np.full(ncomp, n, dtype=np.int64)

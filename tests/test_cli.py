@@ -4,6 +4,7 @@ cli.main(argv) in-process."""
 
 import argparse
 import json
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -163,6 +164,37 @@ class TestSweepCommand:
                     assert ma == mb
                 else:
                     assert open(a).read() == open(b).read(), (rel, name)
+
+    def test_jobs_start_no_more_workers_than_runs(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # --jobs 64 on 4 runs asks for 4 workers. The fake pool maps in
+        # this process, so the test starts none, and the output is that
+        # of --jobs 1.
+        asked = []
+
+        class FakePool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        out1, out2 = tmp_path / "s1", tmp_path / "s2"
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        assert self.sweep(str(out1), ["--jobs", "64"]) == 0
+        assert asked == [4]
+        assert self.sweep(str(out2), ["--jobs", "1"]) == 0
+        capsys.readouterr()
+        cell_files = sorted(out1.glob("cell-*/*"))
+        assert len(cell_files) == 10
+        for a in cell_files:
+            assert a.read_bytes() == (out2 / a.relative_to(out1)).read_bytes()
 
     def test_design_band_warning_once_per_cell(self, tmp_path, capsys):
         # Two seeds of one cell past the band: one warning, not one per
@@ -401,17 +433,19 @@ class TestEquivalenceCommand:
         assert rc == 0
         assert "random trials: 4 graphs" in out
 
-    def test_trial_seeds_wrap_past_64_bits(self, capsys):
-        # Only the base seed is range-checked: seed + i wraps as the
-        # generator masks it.
+    def test_last_trial_seed_may_be_2_64_minus_1(self, capsys):
+        # Trial i draws seed + i: four trials from 2**64 - 4 end on the
+        # largest 64-bit seed, one more would pass it (test_bad_flags).
         rc = main(["equivalence", "--n-max", "1", "--random-trials", "1",
-                   "--seed", str(2**64 - 1)])
+                   "--seed", str(2**64 - 4)])
         assert rc == 0
         assert "random trials: 4 graphs" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [["--random-trials", "-1"],
                                        ["--seed", "-3"],
-                                       ["--seed", str(2**64)]])
+                                       ["--seed", str(2**64)],
+                                       ["--random-trials", "1",
+                                        "--seed", str(2**64 - 3)]])
     def test_bad_flags_exit_2(self, capsys, flags):
         rc = main(["equivalence", "--n-max", "1", *flags])
         captured = capsys.readouterr()

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 
 from dfs_frontier import cli
+from dfs_frontier.fast_engine import _csr_numpy
 from dfs_frontier.randomness import (BitStream, FixedBits, materialize_graph,
                                      pair_count, write_graph_file)
 from dfs_frontier.reference_engine import run_reference
@@ -83,16 +84,17 @@ def reference_runs():
 
 def reference_digest():
     """One sha256 over each run's event log, samples, report and realized
-    CSR, in run order. The CSR is hashed as int64 values, so the digest
-    pins its entries, not the width it is stored in."""
+    graph's CSR in label order, in run order. The CSR is hashed as int64
+    values, so the digest pins its entries, not the width it is stored in."""
     h = hashlib.sha256()
     for res in reference_runs():
         h.update(repr(res.event_log).encode())
         h.update(res.samples.tobytes())
         h.update(res.report.to_json().encode())
-        if res.realized_graph is not None:
-            h.update(res.realized_graph.indptr.astype(np.int64).tobytes())
-            h.update(res.realized_graph.nbrs.astype(np.int64).tobytes())
+        g = res.realized_graph
+        if g is not None:
+            for a in _csr_numpy(g.n, g.eu, g.ev):
+                h.update(a.astype(np.int64).tobytes())
     return h.hexdigest()
 
 

@@ -1,7 +1,8 @@
 """The native kernel against the Python loops it ports: the exploration loop
 on every small graph, the random-trial graphs and raw edge lists no Graph
 builds, the gap draw on a grid of (n, p, seed), the walk's forest diameter
-against the DP, a build under UBSan, and whole runs without a compiler.
+against the DP, builds under UBSan and ASan, and whole runs without a
+compiler.
 Graph's edge checks run here too, with the kernel loaded and without."""
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from census_oracle import report_census, scipy_census
-from dfs_frontier import _native, cli, fast_engine, randomness
+from dfs_frontier import _native, cli, fast_engine
 from dfs_frontier.diagnostics import (checkpoint_schedule, component_census,
                                       forest_diameter_from_parents,
                                       forest_trees)
@@ -163,11 +164,10 @@ def test_explore_raw_edge_lists(lib):
 
 
 def test_run_builds_no_label_order_csr(lib, monkeypatch):
-    # The kernel lays its rows out from the edges: a run with it reads no
-    # indptr or nbrs, so it builds no CSR in label order.
+    # The kernel lays its rows out from the edges, so a run with it builds
+    # no CSR in label order.
     def no_csr(*args):
         raise AssertionError("label-order CSR built")
-    monkeypatch.setattr(randomness, "_csr_numpy", no_csr)
     monkeypatch.setattr(fast_engine, "_csr_numpy", no_csr)
     report, _ = cli.execute_run(cli.RunConfig(n=2000, epsilon=0.1, p=None,
                                               seed=7))
@@ -189,13 +189,13 @@ def test_address_refuses_arrays_of_another_layout(relayout):
 
 def test_csr_build_file_round_trip(lib, python_loops, tmp_path):
     # A graph read back from its file, with the kernel loaded and without,
-    # has the edges and the CSR rows of the graph that was written.
+    # has the int32 edges of the graph that was written.
     graph = materialize_graph(3000, 2.0 / 3000, 9)
     path = str(tmp_path / "g.txt")
     write_graph_file(graph, path)
     for back in (read_graph_file(path), python_loops(read_graph_file, path)):
         assert back == graph and back.n == graph.n
-        for name in ("eu", "ev", "indptr", "nbrs"):
+        for name in ("eu", "ev"):
             a, b = getattr(back, name), getattr(graph, name)
             assert a.dtype == b.dtype == np.int32, name
             assert np.array_equal(a, b), name
@@ -315,12 +315,16 @@ def test_forest_diameter_matches_python_loop(lib, python_loops):
                         ), (n, p, trial)
 
 
-# The same corpus, the raw edge lists and one large run on a build of the
-# kernel that aborts on undefined behaviour. The raw lists take the layout's
-# placing passes through unsorted, repeated and reversed edges; n = 300,000
-# takes its prefetches and the walk through graphs far past AHEAD entries.
-UBSAN_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
-UBSAN_RUN = """
+# The same corpus, the raw edge lists and one large run on builds of the
+# kernel that abort on undefined behaviour (UBSan) or on a read or write
+# outside a block (ASan). The raw lists take the layout's placing passes
+# through unsorted, repeated and reversed edges; n = 300,000 takes its
+# prefetches and the walk through graphs far past AHEAD entries.
+SANITIZER_FLAGS = {
+    "ubsan": ("-fsanitize=undefined", "-fno-sanitize-recover=all"),
+    "asan": ("-fsanitize=address",),
+}
+SANITIZED_RUN = """
 import ctypes, sys
 from dfs_frontier import _native
 from dfs_frontier.fast_engine import _explore_native, _explore_python, run_fast
@@ -341,11 +345,14 @@ print(run_fast(materialize_graph(n, p, seed), epsilon=eps, p=p,
 """
 
 
-def test_kernel_has_no_undefined_behaviour(lib, tmp_path):
-    # The kernel compiles without a warning; a compiler without the UBSan
-    # runtime skips the rest.
+@pytest.mark.parametrize("sanitizer", SANITIZER_FLAGS)
+def test_kernel_has_no_undefined_behaviour(lib, tmp_path, sanitizer):
+    # The kernel compiles without a warning; a compiler without the
+    # sanitizer's runtime skips the rest. Python itself is not built with
+    # ASan, so its runtime is preloaded, and leaks, which the interpreter
+    # leaves at exit, are not reported.
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    path = str(tmp_path / "kernel-ubsan.so")
+    path = str(tmp_path / f"kernel-{sanitizer}.so")
 
     def build(*flags):
         return subprocess.run(
@@ -353,15 +360,22 @@ def test_kernel_has_no_undefined_behaviour(lib, tmp_path):
              "-o", path, _native.SOURCE, "-lm"], capture_output=True,
             text=True)
 
-    built = build(*UBSAN_FLAGS)
+    built = build(*SANITIZER_FLAGS[sanitizer])
     if built.returncode != 0:
         plain = build()
         assert plain.returncode == 0, plain.stderr
-        pytest.skip(f"no UBSan build: {built.stderr.strip()[-300:]}")
-    done = subprocess.run([sys.executable, "-c", UBSAN_RUN, path],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                              (SRC, os.path.dirname(__file__)))))
+        pytest.skip(f"no {sanitizer} build: {built.stderr.strip()[-300:]}")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (SRC, os.path.dirname(__file__))))
+    if sanitizer == "asan":
+        # The bare name comes back when the compiler has no such file.
+        runtime = subprocess.run([*cc, "-print-file-name=libasan.so"],
+                                 capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(runtime):
+            pytest.skip("the compiler has no libasan")
+        env.update(LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
+    done = subprocess.run([sys.executable, "-c", SANITIZED_RUN, path],
+                          capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr[-2000:]
     counts, report = done.stdout.split("\n", 1)
     assert counts == "1299 0 60 0"

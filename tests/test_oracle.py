@@ -20,7 +20,10 @@ from dfs_frontier.reference_engine import QueryLedger, run_reference
 
 def naive_longest_path(graph):
     # All simple paths by DFS; only sane for tiny graphs.
-    adj = [list(graph.neighbors(v)) for v in range(graph.n)]
+    adj = [[] for _ in range(graph.n)]
+    for u, v in graph.edges():
+        adj[u].append(v)
+        adj[v].append(u)
     best = 0
 
     def extend(v, used, length):
@@ -64,6 +67,8 @@ class TestExactLongestPath:
         assert exact_longest_path(Graph.from_edges(1, [])) == 0
 
     def test_matches_naive_enumeration(self):
+        # 200 random graphs on up to 7 vertices, then every graph the
+        # equivalence sweep enumerates.
         rng = random.Random(1234)
         for trial in range(200):
             n = rng.randint(2, 7)
@@ -71,6 +76,8 @@ class TestExactLongestPath:
             edges = [e for e in pairs if rng.random() < rng.choice((.2, .5, .8))]
             g = Graph.from_edges(n, edges)
             assert exact_longest_path(g) == naive_longest_path(g), (n, edges)
+        for label, g, _stride in enumeration_cases():
+            assert exact_longest_path(g) == naive_longest_path(g), label
 
     def test_large_component_refused(self):
         n = MAX_EXACT_COMPONENT + 1

@@ -9,6 +9,7 @@ import pytest
 
 from dfs_frontier import randomness
 from dfs_frontier.errors import ConfigError, StreamExhausted
+from dfs_frontier.fast_engine import _csr_numpy
 from dfs_frontier.oracle import enumeration_cases, trial_cases
 from dfs_frontier.randomness import (BitStream, FixedBits, Graph,
                                      Xoshiro256StarStar, materialize_graph,
@@ -216,11 +217,14 @@ class TestGraph:
             Graph.from_edges(3, [(1, 1)])
 
     def test_neighbors_sorted_and_degrees(self):
+        # The rows of the CSR that the Python loop lays out from the edges.
         g = Graph.from_edges(5, [(0, 3), (0, 1), (2, 3), (3, 4)])
-        assert g.neighbors(3).tolist() == [0, 2, 4]
-        assert len(g.neighbors(3)) == 3
-        assert len(g.neighbors(1)) == 1
-        assert 0 in g.neighbors(3) and 2 not in g.neighbors(1)
+        indptr, nbrs = _csr_numpy(g.n, g.eu, g.ev)
+        row = {v: nbrs[indptr[v]:indptr[v + 1]] for v in range(g.n)}
+        assert row[3].tolist() == [0, 2, 4]
+        assert len(row[3]) == 3
+        assert len(row[1]) == 1
+        assert 0 in row[3] and 2 not in row[1]
 
     def test_rejects_malformed_csr(self):
         # Graph takes edges, never a CSR. Arrays in the (n, indptr, nbrs)
@@ -239,27 +243,31 @@ class TestGraph:
                 Graph(n, np.array(indptr), np.array(nbrs))
 
     def test_every_graph_is_simple(self):
-        # Rows strictly ascending, no self-loop, rows that mirror, and m the
-        # number of upper entries, on every graph the oracle checks.
+        # In the CSR laid out from the edges: rows strictly ascending, no
+        # self-loop, rows that mirror, and m the number of upper entries,
+        # on every graph the oracle checks.
         for label, g, _stride in (*enumeration_cases(), *trial_cases(56)):
-            rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+            indptr, nbrs = _csr_numpy(g.n, g.eu, g.ev)
+            rows = np.repeat(np.arange(g.n), np.diff(indptr))
             in_row = rows[1:] == rows[:-1]
-            assert (np.diff(g.nbrs)[in_row] > 0).all(), label
-            assert (g.nbrs != rows).all(), label
-            pairs = set(zip(rows.tolist(), g.nbrs.tolist()))
+            assert (np.diff(nbrs)[in_row] > 0).all(), label
+            assert (nbrs != rows).all(), label
+            pairs = set(zip(rows.tolist(), nbrs.tolist()))
             assert pairs == {(w, v) for v, w in pairs}, label
-            assert g.m == int((g.nbrs > rows).sum()), label
+            assert g.m == int((nbrs > rows).sum()), label
         g = Graph(3, [0], [1])
         assert g.m == 1 and g.edges() == [(0, 1)]
-        assert g.indptr.dtype == g.nbrs.dtype == np.int32
+        indptr, nbrs = _csr_numpy(g.n, g.eu, g.ev)
+        assert indptr.dtype == nbrs.dtype == np.int32
 
     def test_empty_graphs(self):
         for n in (0, 1):
             g = Graph(n, np.empty(0, dtype=np.int64), [])
             assert (g.n, g.m, g.edges()) == (n, 0, [])
-            assert g.indptr.tolist() == [0] * (n + 1)
-            assert len(g.nbrs) == 0
-            for a in (g.eu, g.ev, g.indptr, g.nbrs):
+            indptr, nbrs = _csr_numpy(g.n, g.eu, g.ev)
+            assert indptr.tolist() == [0] * (n + 1)
+            assert len(nbrs) == 0
+            for a in (g.eu, g.ev, indptr, nbrs):
                 assert a.dtype == np.int32
 
     def test_edge_faults(self):
@@ -289,10 +297,10 @@ class TestGraph:
         eu[:] = ev[:] = 0
         assert eu.flags.writeable and ev.flags.writeable
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
-        assert g.nbrs.tolist() == [1, 2, 0, 2, 0, 1]
 
     def test_edge_arrays_are_int32(self):
-        eu, ev = Graph.from_edges(4, [(0, 3), (1, 2)]).edge_arrays()
+        g = Graph.from_edges(4, [(0, 3), (1, 2)])
+        eu, ev = g.eu, g.ev
         assert eu.dtype == ev.dtype == np.int32
         assert list(zip(eu.tolist(), ev.tolist())) == [(0, 3), (1, 2)]
 
@@ -300,10 +308,10 @@ class TestGraph:
                                          "from_edges", "materialize_graph",
                                          "read_graph_file"])
     def test_read_only(self, builder, python_loops, tmp_path):
-        # Each builder's triangle keeps the edges it was built with, and
-        # the CSR derived from them: row 0 cannot become [2, 1], which the
-        # walk would follow to the wrong forest [-1, 2, 0], no array's write
-        # flag can be turned back on, and no attribute can be rebound.
+        # Each builder's triangle keeps the edges it was built with: ev
+        # cannot become [2, 1, 2], whose row 0 [2, 1] the walk would follow
+        # to the wrong forest [-1, 2, 0], no array's write flag can be
+        # turned back on, and no attribute can be rebound.
         triangle = [(0, 1), (0, 2), (1, 2)]
         path = str(tmp_path / "triangle.txt")
         write_graph_file(Graph.from_edges(3, triangle), path)
@@ -313,21 +321,18 @@ class TestGraph:
              "from_edges": lambda: Graph.from_edges(3, triangle),
              "materialize_graph": lambda: materialize_graph(3, 1.0, 1),
              "read_graph_file": lambda: read_graph_file(path)}[builder]()
-        for name, index, value in [("nbrs", slice(0, 2), [2, 1]),
-                                   ("nbrs", 5, 3), ("indptr", 1, 3),
-                                   ("indptr", 0, 1), ("eu", 2, 0),
+        for name, index, value in [("eu", 2, 0),
                                    ("ev", slice(0, 2), [2, 1])]:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(g, name)[index] = value
-        for name in ("eu", "ev", "indptr", "nbrs"):
+        for name in ("eu", "ev"):
             with pytest.raises(ValueError, match="WRITEABLE"):
                 getattr(g, name).flags.writeable = True
-        for name in ("n", "m", "eu", "ev", "indptr", "nbrs"):
+        for name in Graph.__slots__:
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(g, name, getattr(g, name))
         assert g.edges() == triangle and (g.n, g.m) == (3, 3)
-        assert g.indptr.tolist() == [0, 2, 4, 6]
-        assert g.nbrs.tolist() == [1, 2, 0, 2, 0, 1]
+        assert Graph.__slots__ == ("n", "m", "eu", "ev")
 
     def test_equality(self):
         a = Graph.from_edges(3, [(0, 1)])
