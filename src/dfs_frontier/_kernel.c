@@ -13,8 +13,8 @@
  * exactly as in Python.
  *
  * Vertex labels, adjacency offsets and the walk's labels and push counts
- * (tree starts, parents, push order) are int32_t; clocks, pair ranks and
- * trajectory rows are int64_t. So n and twice the edge count are below
+ * (slots, parents, push order) are int32_t; clocks, pair ranks, trajectory
+ * rows and the census are int64_t. So n and twice the edge count are below
  * 2^31: the Python callers reject larger graphs before they allocate, and
  * explore reads its edges unchecked (see there).
  */
@@ -186,10 +186,10 @@ static void place(int64_t ne, const int32_t *from, const int32_t *to,
  * layout decides nothing: roots, scan order and counts all go by label, so
  * any slot assignment gives the same result.
  *
- * Each DFS tree is one connected component, so the walk's output for the
- * census is one record per tree, written in order at its root's push: the
- * number of pushes before the root (tree_start) and the clock (tree_m).
- * Each of the two holds n entries; info[8] receives the number of trees.
+ * Each DFS tree is one connected component, so the walk reduces the
+ * component census itself as each tree closes (the stack empties): a
+ * strictly larger tree replaces the giant, so the first largest wins ties,
+ * and the displaced giant becomes the second. No per-tree record is kept.
  * The forest itself is optional: when parents, push_order and push_m are
  * given (all three or none), a vertex's parent (int32, -1 for a root) and
  * push moment (int64) are written under its label when it is pushed, and
@@ -197,39 +197,41 @@ static void place(int64_t ne, const int32_t *from, const int32_t *to,
  *
  * cps holds the ncp sorted checkpoints that are <= C(n, 2); every one met
  * inside a jump is written to samples as a row (m, |S|, |U|, |T|, q_ST, q_SU,
- * q_UT). info receives (m, max_U, max_U_argmax_m, samples written) in
- * [0, 4), on an invariant violation its three context values in [4, 7),
- * and in info[7] the forest's longest path in edges: a vertex's subtree is
- * final when it is popped, so the pop closes its two deepest child paths
- * and hands the deeper one, one edge longer, to its parent. Returns an
+ * q_UT). info, 12 entries, receives (m, max_U, max_U_argmax_m, samples
+ * written) in [0, 4), on an invariant violation its three context values
+ * in [4, 7), in info[7] the forest's longest path in edges (a vertex's
+ * subtree is final when it is popped, so the pop closes its two deepest
+ * child paths and hands the deeper one, one edge longer, to its parent),
+ * and the census in [8, 12): the giant's size, the clock at its root's
+ * push, the second largest size and the number of trees. Returns an
  * EXPLORE_* code. The edges are read unchecked: they are a
  * randomness.Graph's, checked when it was built and read-only since. So
  * 1 <= n < 2^31 (run_fast rejects n < 1), every endpoint lies in [0, n) and
  * ne < 2^30 (Graph's cap): no int32 label, slot or offset overflows, nor do
  * the prefetch guards, which compare with n - AHEAD and ne - AHEAD. */
 int explore(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
-            const int64_t *cps, int64_t ncp, int32_t *tree_start,
-            int64_t *tree_m, int32_t *parents, int32_t *push_order,
-            int64_t *push_m, int64_t *samples, int64_t *info)
+            const int64_t *cps, int64_t ncp, int32_t *parents,
+            int32_t *push_order, int64_t *push_m, int64_t *samples,
+            int64_t *info)
 {
     /* All scratch lives in one block, so that the allocator can reuse it
      * whole from one run to the next instead of handing fresh pages (a
      * fault per 4 KiB) to some of the runs. */
     size_t nn = (size_t)n, nw = (nn + 63) >> 6;
     char *block = malloc(nn * sizeof(frame) + nw * sizeof(uint64_t)
-                         + (nw + 2 * nn + 2 * (size_t)ne + 2)
+                         + (nw + 3 * nn + 2 * (size_t)ne + 2)
                            * sizeof(int32_t));
     if (!block)
         return NO_MEMORY;
     frame *stack = (frame *)block;
     tset t = {(uint64_t *)(stack + nn), NULL, (int64_t)nw};
     t.tree = (int32_t *)(t.bits + nw);
-    /* slot[v], v's slot, lives in tree_start's entries: the walk reads it
-     * only at root pushes, and the record of tree k overwrites entry k when
-     * its root, label k or more, is pushed. Roots ascend, so every later
-     * root's entry is still a slot when it is read. */
-    int32_t *slot = tree_start;
-    int32_t *lab = t.tree + nw + 1;
+    /* slot[v], v's slot, is read by the layout alone: the walk takes a
+     * root's slot as the number of pushes so far, since the blocks before
+     * a root's are the trees already walked, and a root, its block's
+     * smallest label, has the block's first slot. */
+    int32_t *slot = t.tree + nw + 1;
+    int32_t *lab = slot + nn;
     int32_t *row = lab + nn;
     int32_t *adj = row + nn + 1;
     int rc = EXPLORE_OK;
@@ -315,9 +317,12 @@ int explore(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
         if (up <= t.nw)
             t.tree[up] += t.tree[j];
     }
-    int64_t top = 0, ntree = 0, size_t_ = n, size_s = 0, m = 0;
+    int64_t top = 0, size_t_ = n, size_s = 0, m = 0;
     int64_t max_u = 0, max_u_m = 0, min_word = 0, cp_i = 0;
     int64_t best = 0;    /* longest path among the completed subtrees */
+    /* The open tree's pushes before its root and root clock; the census. */
+    int64_t root_start = 0, root_m = 0;
+    int64_t giant = 0, giant_m = 0, second = 0, ntree = 0;
 
     for (;;) {
         int32_t u, w = -1, ws = -1;
@@ -329,9 +334,9 @@ int explore(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
             uint64_t word = t.bits[min_word];
             u = -1;
             w = (int32_t)(64 * min_word + popcount64((word & -word) - 1));
-            ws = slot[w];
-            tree_start[ntree] = (int32_t)(n - size_t_);   /* pushes so far */
-            tree_m[ntree++] = m;
+            root_start = n - size_t_;    /* pushes so far */
+            ws = (int32_t)root_start;
+            root_m = m;
         } else {
             frame *fr = &stack[top - 1];
             u = fr->v;
@@ -411,6 +416,16 @@ int explore(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
                     } else if (d > up->d2) {
                         up->d2 = d;
                     }
+                } else {
+                    int64_t size = n - size_t_ - root_start;
+                    if (size > giant) {
+                        second = giant;
+                        giant = size;
+                        giant_m = root_m;
+                    } else if (size > second) {
+                        second = size;
+                    }
+                    ntree++;
                 }
                 size_s++;
                 continue;
@@ -443,7 +458,10 @@ int explore(int64_t n, const int32_t *eu, const int32_t *ev, int64_t ne,
     info[2] = max_u_m;
     info[3] = cp_i;
     info[7] = best;
-    info[8] = ntree;
+    info[8] = giant;
+    info[9] = giant_m;
+    info[10] = second;
+    info[11] = ntree;
 done:
     free(block);
     return rc;

@@ -121,6 +121,6 @@ def _declare(lib):
     lib.gap_draw.argtypes = [ptr, ctypes.c_double, i64, ptr, ptr, ptr, i64]
     lib.gap_draw.restype = i64
     lib.explore.argtypes = [i64, ptr, ptr, i64, ptr, i64, ptr, ptr, ptr, ptr,
-                            ptr, ptr, ptr]
+                            ptr]
     lib.explore.restype = ctypes.c_int
     return lib

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantViolation
 
 
 # ----------------------------------------------------------------------
@@ -122,21 +122,50 @@ class ComponentCensus:
     giant_entry_m: int     # clock at the push of the giant's root
 
 
-def component_census(n, starts, root_m):
-    """Connected components of an n-vertex graph from the records of its
-    complete DFS forest's trees, in push order: for each tree, the number
-    of pushes before its root and the clock at the root's push.
+def component_census(n, giant_size, giant_entry_m, second_size,
+                     n_components):
+    """The ComponentCensus of an n-vertex graph from the four numbers an
+    engine reduces its DFS forest to: the largest tree's size and the clock
+    at its root's push, the first largest winning ties, the second largest
+    size (0 for one tree) and the number of trees.
 
     Each DFS tree spans exactly one component, and its root is the
     component's smallest label: every smaller label is already completed
-    when the root is pushed. Trees are contiguous runs of the push order,
-    so the sizes are the gaps between consecutive starts. Roots are pushed
-    in increasing label order, hence the first largest tree is the largest
-    component with the smallest minimum label, and the giant is first
-    entered when its root is pushed. Lists or arrays of any integer dtype
-    are read as given, without a widening copy.
+    when the root is pushed. Roots are pushed in increasing label order,
+    hence the first largest tree is the largest component with the smallest
+    minimum label, and the giant is first entered when its root is pushed.
+    InvariantViolation for numbers no n-vertex graph has: a size or a tree
+    count outside [1, n], a second size outside [0, giant_size] or 0 unless
+    there is one tree, sizes that cannot cover n vertices or do not fit in
+    them, or a negative clock.
     """
-    starts = np.asarray(starts)
+    g, m, s, k = (int(x) for x in (giant_size, giant_entry_m, second_size,
+                                   n_components))
+    rules = (("tree count in [1, n]", 1 <= k <= n),
+             ("giant size in [1, n]", 1 <= g <= n),
+             ("second size in [0, giant size]", 0 <= s <= g),
+             ("second size 0 exactly for one tree", (s == 0) == (k == 1)),
+             ("trees cover n vertices", g * k >= n),
+             ("trees fit in n vertices", g + s + (k - 2) <= n),
+             ("giant entry clock >= 0", m >= 0))
+    for rule, holds in rules:
+        if not holds:
+            raise InvariantViolation(
+                f"impossible component census: not {rule}",
+                {"n": n, "giant_size": g, "giant_entry_m": m,
+                 "second_size": s, "n_components": k})
+    return ComponentCensus(giant_size=g, second_size=s, n_components=k,
+                           giant_entry_m=m)
+
+
+def forest_census(n, parents, push_order, push_m):
+    """component_census's four numbers, reduced in numpy from a complete
+    DFS forest: a tree starts wherever the push order reaches a root
+    (parents[v] < 0), trees are contiguous runs of the push order, so the
+    sizes are the gaps between consecutive starts, and argmax takes the
+    first largest."""
+    order = np.asarray(push_order)
+    starts = np.flatnonzero(np.asarray(parents)[order] < 0)
     sizes = np.empty_like(starts)
     sizes[:-1] = starts[1:]
     sizes[-1] = n
@@ -144,19 +173,8 @@ def component_census(n, starts, root_m):
     g = int(sizes.argmax())
     giant_size = int(sizes[g])
     sizes[g] = 0
-    return ComponentCensus(giant_size=giant_size,
-                           second_size=int(sizes.max()),
-                           n_components=len(sizes),
-                           giant_entry_m=int(root_m[g]))
-
-
-def forest_trees(parents, push_order, push_m):
-    """The tree records component_census reads, (starts, root_m), taken
-    from a complete DFS forest: a tree starts wherever the push order
-    reaches a root (parents[v] < 0)."""
-    order = np.asarray(push_order)
-    starts = np.flatnonzero(np.asarray(parents)[order] < 0)
-    return starts, np.asarray(push_m)[order[starts]]
+    return (giant_size, int(np.asarray(push_m)[order[starts[g]]]),
+            int(sizes.max()), len(sizes))
 
 
 def forest_diameter_from_parents(parents, order):
@@ -355,10 +373,10 @@ def assemble_run_report(engine, *, n, epsilon, p, seed, samples, max_U,
     """Build a RunReport, config included, from raw engine outputs.
 
     Shared by the engines so report semantics cannot drift between them.
-    Each engine computes `longest_forest_path` and the tree records behind
+    Each engine computes `longest_forest_path` and the four numbers behind
     its ComponentCensus its own way (the fast engine during its walk, the
     reference engine from its finished forest, with
-    forest_diameter_from_parents and forest_trees), so the oracle's report
+    forest_diameter_from_parents and forest_census), so the oracle's report
     comparison checks one against the other. Fields
     whose inputs are unavailable (no epsilon or no reference moments,
     checkpoint not reached, no edge count of the whole graph for

@@ -28,13 +28,15 @@ The walk also yields the report's longest_forest_path: a vertex's subtree
 is final when it is popped, so the pop closes the two deepest paths down
 into its children and offers the deeper one, one edge longer, to its
 parent. And it yields the component census: the stack empties exactly when
-a component is done, so each DFS tree is one component, and each root push
-writes the tree's record (pushes before the root, clock), which
-diagnostics.component_census reduces. The reference engine computes both
-from its finished forest instead (forest_diameter_from_parents,
-forest_trees), so the oracle checks one against the other. The per-vertex
-forest (parents, push order, push moments) is written only on request, for
-the oracle and the tests; `run` asks for none.
+a component is done, so each DFS tree is one component, and the walk
+reduces the census as each tree closes, to four numbers (the giant's size
+and its root's clock, first largest winning ties, the second size and the
+tree count) that diagnostics.component_census checks and packages. No
+per-tree record is kept. The reference engine computes both from its
+finished forest instead (forest_diameter_from_parents, forest_census), so
+the oracle checks one against the other. The per-vertex forest (parents,
+push order, push moments) is written only on request, for the oracle and
+the tests; `run` asks for none, so it allocates nothing n-sized here.
 
 The loop runs in C (`explore` in _kernel.c, compiled on first use by
 _native), which lays the graph out from its edges component by component,
@@ -48,10 +50,10 @@ Both read the graph's int32 edges unchecked, since a Graph is read-only
 once built from checked edges, with n < 2**31 and fewer than 2**30 edges,
 so the int32 offsets of either adjacency (2m entries) cannot wrap. They
 return the samples as one int64 row per checkpoint, in TRAJECTORY_COLUMNS
-order, the tree records and the forest with labels and push counts in
-int32 and clocks in int64, and raise the same InvariantViolation on the
-same input, through one table (_VIOLATIONS); the tests compare them on
-every small graph and on edge lists no Graph builds.
+order, the census's four numbers, and the forest with labels and push
+counts in int32 and clocks in int64, and raise the same InvariantViolation
+on the same input, through one table (_VIOLATIONS); the tests compare them
+on every small graph and on edge lists no Graph builds.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
 
     Deterministic given the graph. Returns a RunResult whose report and
     samples match run_reference on the same graph moment for moment. The
-    report's component fields come from the walk's tree records; the
+    report's component fields come from the census the walk reduces; the
     forest (parents, push order, push moments) is built only when `forest`
     is true, and is None otherwise.
     """
@@ -124,7 +126,7 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
     lib = _native.kernel()
     explored = (_explore_python(graph, cps, forest) if lib is None
                 else _explore_native(lib, graph, cps, forest))
-    samples, trees, walked, m, max_u, max_u_m, lfp = explored
+    samples, census, walked, m, max_u, max_u_m, lfp = explored
 
     # The loops sample inside jumps; cps holds the final clock at most once.
     if len(samples) < len(cps) and cps[len(samples)] == m:
@@ -133,7 +135,7 @@ def run_fast(graph, checkpoints=None, *, epsilon=None, p=None, seed=None,
     report = assemble_run_report(
         "fast", n=n, epsilon=epsilon, p=p, seed=seed, samples=samples,
         max_U=max_u, max_U_argmax_m=max_u_m, dfs_query_total=m,
-        longest_forest_path=lfp, census=component_census(n, *trees),
+        longest_forest_path=lfp, census=component_census(n, *census),
         edge_count=graph.m)
     return RunResult(report, samples, *(walked or (None, None, None)))
 
@@ -162,25 +164,25 @@ def _explore_native(lib, graph, cps, forest):
     n = graph.n
     i32, i64 = np.int32, np.int64
     cp_arr = np.array(cps, dtype=i64)
-    start, root_m = np.empty(n, dtype=i32), np.empty(n, dtype=i64)
     parents = push_order = push_m = walked = None
     if forest:
         walked = parents, push_order, push_m = (
             np.empty(n, dtype=i32), np.empty(n, dtype=i32),
             np.empty(n, dtype=i64))
     rows = np.empty((len(cp_arr), 7), dtype=i64)
-    info = np.zeros(9, dtype=i64)
+    info = np.zeros(12, dtype=i64)
     rc = lib.explore(n, at(graph.eu, i32), at(graph.ev, i32), len(graph.eu),
-                     at(cp_arr, i64), len(cp_arr), at(start, i32),
-                     at(root_m, i64), at(parents, i32), at(push_order, i32),
-                     at(push_m, i64), at(rows, i64), at(info, i64))
-    m, max_u, max_u_m, taken, *context, lfp, ntree = info.tolist()
+                     at(cp_arr, i64), len(cp_arr), at(parents, i32),
+                     at(push_order, i32), at(push_m, i64), at(rows, i64),
+                     at(info, i64))
+    info = info.tolist()
     if rc in _VIOLATIONS:
-        raise _violation(rc, *context)
+        raise _violation(rc, *info[4:7])
     if rc == _NO_MEMORY:
         raise MemoryError(f"explore kernel at n = {n}")
-    trees = start[:ntree], root_m[:ntree]
-    return rows[:taken], trees, walked, m, max_u, max_u_m, lfp
+    m, max_u, max_u_m, taken = info[:4]
+    return (rows[:taken], tuple(info[8:]), walked, m, max_u, max_u_m,
+            info[7])
 
 
 def _csr_numpy(n, eu, ev):
@@ -201,18 +203,17 @@ def _explore_python(graph, cps, forest):
     """`explore` of _kernel.c in Python, frame for frame, on the CSR of
     the graph's edges in label order.
 
-    Returns (samples, trees, forest, m, max_U, max_U_argmax_m,
+    Returns (samples, census, forest, m, max_U, max_U_argmax_m,
     longest_forest_path), with a sample row for every checkpoint passed
     inside a jump (a checkpoint at the final clock is left to the caller),
-    trees the records (pushes before the root, clock at its push) of the
-    DFS trees as two arrays, and forest (parents, push order, push
-    moments) when `forest` is true, else None.
+    census the walk's (giant_size, giant_entry_m, second_size,
+    n_components), and forest (parents, push order, push moments) when
+    `forest` is true, else None.
     """
     n = graph.n
     tindex = TIndex(n)
     present = tindex.present     # 1 while the label is in T
     indptr, nbrs = (a.tolist() for a in _csr_numpy(n, graph.eu, graph.ev))
-    tree_start, tree_m = [], []
     if forest:
         parents = [-1] * n
         push_order = []
@@ -228,6 +229,9 @@ def _explore_python(graph, cps, forest):
     max_u_m = 0
     min_ptr = 0
     best = 0                     # longest path among completed subtrees
+    # The open tree's pushes before its root and root clock; the census.
+    root_start = root_m = 0
+    giant = giant_m = second = ntree = 0
     samples = []
     cp_i = 0
     ncp = len(cps)
@@ -241,8 +245,8 @@ def _explore_python(graph, cps, forest):
                 min_ptr += 1
             u = -1
             w = min_ptr
-            tree_start.append(n - size_t)     # pushes so far
-            tree_m.append(m)
+            root_start = n - size_t      # pushes so far
+            root_m = m
         else:
             fr = stack[-1]
             u, f, cur, end = fr[0], fr[1], fr[2], fr[3]
@@ -291,6 +295,15 @@ def _explore_python(graph, cps, forest):
                         up[4] = d
                     elif d > up[5]:
                         up[5] = d
+                else:
+                    size = n - size_t - root_start
+                    if size > giant:
+                        second = giant
+                        giant = size
+                        giant_m = root_m
+                    elif size > second:
+                        second = size
+                    ntree += 1
                 size_s += 1
                 continue
             fr[1] = w
@@ -307,12 +320,10 @@ def _explore_python(graph, cps, forest):
             max_u = len(stack)
             max_u_m = m
 
-    trees = (np.array(tree_start, dtype=np.int32),
-             np.array(tree_m, dtype=np.int64))
     walked = None
     if forest:
         walked = (np.array(parents, dtype=np.int32),
                   np.array(push_order, dtype=np.int32),
                   np.array(push_m, dtype=np.int64))
-    return (trajectory_array(samples), trees, walked, m, max_u, max_u_m,
-            best)
+    return (trajectory_array(samples), (giant, giant_m, second, ntree),
+            walked, m, max_u, max_u_m, best)

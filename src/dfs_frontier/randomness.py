@@ -242,10 +242,8 @@ class Graph:
             raise ValueError("vertex id out of range")
         eu = np.array(eu, dtype=np.int32)
         ev = np.array(ev, dtype=np.int32)
-        # Endpoints lie in [0, n), so int32 differences cannot wrap.
-        du = np.diff(eu)
-        if not ((eu < ev).all() and (du >= 0).all()
-                and ((du > 0) | (np.diff(ev) > 0)).all()):
+        if not ((eu < ev).all() and (eu[1:] >= eu[:-1]).all()
+                and ((eu[1:] > eu[:-1]) | (ev[1:] > ev[:-1])).all()):
             raise ValueError(_ORDER_FAULT)
         for name, value in zip(self.__slots__,
                                (n, len(eu), *_frozen(eu, ev))):

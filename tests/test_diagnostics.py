@@ -4,6 +4,7 @@ excess, residual criticality, forest paths, and report plumbing."""
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,14 +17,14 @@ from dfs_frontier.cli import evaluate_criteria
 from dfs_frontier.diagnostics import (METRIC_FIELDS, Moments, RunReport,
                                       aggregate, component_census,
                                       default_checkpoints,
-                                      engine_checkpoints,
+                                      engine_checkpoints, forest_census,
                                       forest_diameter_from_parents,
-                                      forest_trees, reference_moments,
+                                      reference_moments,
                                       trajectory_array,
                                       write_aggregate_csv,
                                       write_seed_table_csv,
                                       write_trajectory_csv)
-from dfs_frontier.errors import ConfigError
+from dfs_frontier.errors import ConfigError, InvariantViolation
 from dfs_frontier.fast_engine import run_fast
 from dfs_frontier.randomness import Graph, materialize_graph
 from dfs_frontier.reference_engine import run_reference
@@ -32,8 +33,8 @@ from dfs_frontier.reference_engine import run_reference
 def census_of(graph):
     """The census of graph's DFS forest, and the forest's push moments."""
     res = run_fast(graph, [0], forest=True)
-    return component_census(graph.n, *forest_trees(
-        res.parents, res.push_order, res.push_m)), res.push_m
+    return component_census(graph.n, *forest_census(
+        graph.n, res.parents, res.push_order, res.push_m)), res.push_m
 
 
 def make_report(seed=1, **overrides):
@@ -166,6 +167,47 @@ class TestComponentCensus:
         assert census.giant_size == 4
         assert census.second_size == 0
         assert census.n_components == 1
+
+    # component_census(n, giant_size, giant_entry_m, second_size,
+    # n_components) refuses each census no n-vertex graph has; n = 10.
+    def test_possible_census_packaged(self):
+        census = component_census(10, 6, 4, 3, 2)
+        assert (census.giant_size, census.giant_entry_m, census.second_size,
+                census.n_components) == (6, 4, 3, 2)
+        assert component_census(10, 10, 0, 0, 1).n_components == 1
+        assert component_census(10, 1, 9, 1, 10).giant_size == 1
+
+    def refused(self, rule, *numbers):
+        # Each case breaks its rule and none checked before it.
+        with pytest.raises(InvariantViolation, match=re.escape(
+                f"impossible component census: not {rule}")):
+            component_census(10, *numbers)
+
+    def test_tree_count_outside_one_to_n(self):
+        self.refused("tree count in [1, n]", 10, 0, 0, 0)
+        self.refused("tree count in [1, n]", 1, 0, 1, 11)
+
+    def test_giant_size_outside_one_to_n(self):
+        self.refused("giant size in [1, n]", 0, 0, 0, 10)
+        self.refused("giant size in [1, n]", 11, 0, 0, 1)
+
+    def test_second_outside_zero_to_giant(self):
+        self.refused("second size in [0, giant size]", 4, 0, 5, 3)
+        self.refused("second size in [0, giant size]", 5, 0, -1, 2)
+
+    def test_second_zero_exactly_for_one_tree(self):
+        self.refused("second size 0 exactly for one tree", 9, 0, 0, 2)
+        self.refused("second size 0 exactly for one tree", 9, 0, 1, 1)
+
+    def test_trees_too_small_to_cover_n(self):
+        self.refused("trees cover n vertices", 3, 0, 3, 3)
+
+    def test_trees_too_many_to_fit_in_n(self):
+        self.refused("trees fit in n vertices", 6, 0, 5, 2)
+        self.refused("trees fit in n vertices", 5, 0, 5, 3)
+
+    def test_negative_giant_entry_clock(self):
+        self.refused("giant entry clock >= 0", 6, -1, 4, 2)
 
     def test_giant_size_band_supercritical(self):
         # Branching-process fixed point rho = 1 - exp(-(1+eps) rho) gives

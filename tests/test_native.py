@@ -5,8 +5,10 @@ against the DP, builds under UBSan and ASan, and whole runs without a
 compiler.
 Graph's edge checks run here too, with the kernel loaded and without."""
 
+import ctypes
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,9 +20,8 @@ import pytest
 
 from census_oracle import report_census, scipy_census
 from dfs_frontier import _native, cli, fast_engine
-from dfs_frontier.diagnostics import (checkpoint_schedule, component_census,
-                                      forest_diameter_from_parents,
-                                      forest_trees)
+from dfs_frontier.diagnostics import (checkpoint_schedule, forest_census,
+                                      forest_diameter_from_parents)
 from dfs_frontier.errors import InvariantViolation
 from dfs_frontier.fast_engine import (_explore_native, _explore_python,
                                       run_fast)
@@ -47,7 +48,6 @@ def lib():
 # Labels and push counts are int32 and clocks int64, on both paths.
 FOREST_DTYPES = {"parents": np.int32, "push_order": np.int32,
                  "push_m": np.int64}
-TREE_DTYPES = (np.int32, np.int64)   # tree start, clock at its root
 
 
 def assert_same_run(graph, python_loops):
@@ -80,24 +80,22 @@ def native_loop(fn, *args, **kwargs):
     return fn(*args, **kwargs)
 
 
-def test_tree_records_every_small_and_trial_graph(lib, python_loops):
-    # `run` asks for no forest, and its census comes from the walk's tree
-    # records alone. On both loops, with the forest on and off: the same
-    # records, which are the trees of the reference engine's forest, and
-    # the same report and samples, whose census scipy's confirms.
+def test_walk_census_every_small_and_trial_graph(lib, python_loops):
+    # `run` asks for no forest, and its census is the four numbers the walk
+    # reduces. On both loops, with the forest on and off: the numbers that
+    # forest_census reduces from the reference engine's forest, and the
+    # same report and samples, whose census scipy's confirms.
     for _label, graph, stride in [*enumeration_cases(), *trial_cases(200)]:
         cps = checkpoint_schedule(graph.n, None, stride)
         ref = run_reference(graph.n, graph, cps, record_events=False)
-        want = forest_trees(ref.parents, ref.push_order, ref.push_m)
+        want = forest_census(graph.n, ref.parents, ref.push_order,
+                             ref.push_m)
         census, _giant = scipy_census(graph, ref.push_m)
         for forest in (False, True):
-            for trees in (_explore_native(lib, graph, cps, forest)[1],
-                          _explore_python(graph, cps, forest)[1]):
-                for got, expect, dtype in zip(trees, want, TREE_DTYPES):
-                    assert got.dtype == dtype
-                    assert np.array_equal(got, expect), graph.edges()
-                assert (component_census(graph.n, *trees)
-                        == component_census(graph.n, *want))
+            for got in (_explore_native(lib, graph, cps, forest)[1],
+                        _explore_python(graph, cps, forest)[1]):
+                assert got == want, graph.edges()
+                assert all(type(x) is int for x in got)
         for loop in (native_loop, python_loops):
             bare = loop(run_fast, graph, cps)
             full = loop(run_fast, graph, cps, forest=True)
@@ -138,14 +136,15 @@ def raw_edge_lists():
 
 def explore_outcome(loop, *args):
     """What an exploration loop returns on the checkpoint 0 with the
-    forest, as lists and dtype names, or the violation it raises."""
+    forest, as lists and dtype names, the census's four numbers and the
+    counts, or the violation it raises."""
     try:
-        samples, trees, walked, *counts = loop(*args, [0], True)
+        samples, census, walked, *counts = loop(*args, [0], True)
     except InvariantViolation as exc:
         return str(exc), exc.context
-    arrays = (samples, *trees, *walked)
+    arrays = (samples, *walked)
     return ([a.tolist() for a in arrays], [a.dtype.name for a in arrays],
-            counts)
+            census, counts)
 
 
 def test_explore_raw_edge_lists(lib):
@@ -185,6 +184,24 @@ def test_address_refuses_arrays_of_another_layout(relayout):
     assert _native.address(None, np.int32) is None
     with pytest.raises(TypeError, match="C-contiguous int32"):
         _native.address(relayout(eu), np.int32)
+
+
+# A C parameter's ctypes type: any pointer is passed as an address.
+C_TYPES = {"int64_t": "c_int64", "double": "c_double"}
+
+
+@pytest.mark.parametrize("name", ["explore", "gap_draw"])
+def test_declared_argtypes_match_the_kernel_source(name):
+    # ctypes calls whatever it is told to: a kernel whose signature changed
+    # behind a stale declaration would load and read garbage arguments.
+    with open(_native.SOURCE) as f:
+        params = re.search(rf"\b{name}\(([^)]*)\)\s*{{", f.read()).group(1)
+    want = [getattr(ctypes, "c_void_p" if "*" in p
+                    else C_TYPES[p.split()[-2]])
+            for p in params.split(",")]
+    stub = SimpleNamespace(explore=SimpleNamespace(),
+                           gap_draw=SimpleNamespace())
+    assert getattr(_native._declare(stub), name).argtypes == want
 
 
 def test_csr_build_file_round_trip(lib, python_loops, tmp_path):
